@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint bench benchcheck batchbench planbench servebench tracebench ablation fuzz fuzzsmoke kernels experiments examples clean
+.PHONY: all build test race cover check lint bench benchcheck batchbench planbench servebench tracebench ablation fuzz fuzzsmoke experiments examples clean
 
 all: build test
 
@@ -122,18 +122,13 @@ fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzHybridIntersect -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadSet -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadCorpus -fuzztime=30s
-	$(GO) test ./internal/kernels -fuzz=FuzzTableCount -fuzztime=30s
+	$(GO) test ./internal/kernels -fuzz=FuzzSegmentKernel -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzIntersectSmallParity -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzProbeStageParity -fuzztime=30s
 
 # CI-sized fuzz smoke: every fuzz target for 30s each (same set as `fuzz`;
 # kept as a separate name so CI and local long runs can diverge later).
 fuzzsmoke: fuzz
-
-# Regenerate the specialized kernel library after editing internal/kernels/kernelgen.
-kernels:
-	$(GO) run ./cmd/genkernels
-	$(GO) test ./internal/kernels/...
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -1,15 +1,13 @@
 // Ablation benchmarks for the design choices the paper motivates:
 //
-//   - code specialization (Section V): dispatching to per-size kernels vs
-//     always running the scalar generic kernel on surviving segment pairs;
+//   - the segment kernel (Section V): the branch-free all-pairs loop vs the
+//     scalar two-pointer merge on surviving segment pairs;
 //   - bitmap sizing (Section III-D): m = n·√w against smaller and larger
 //     bitmaps, exposing the filter-cost/false-positive trade-off behind
 //     Proposition 1;
 //   - segment size (Fig. 14): s ∈ {8, 16, 32};
 //   - adaptive strategy switching (Section VI): the skew-threshold switch
-//     against always-merge and always-hash;
-//   - kernel stride sampling (Section VI): run-time cost of rounding sizes
-//     up to sampled kernels.
+//     against always-merge and always-hash.
 //
 // Run with: go test -bench=Ablation -benchmem
 package fesia
@@ -27,9 +25,9 @@ import (
 	"fesia/internal/simd"
 )
 
-// BenchmarkAblationSpecialization compares jump-table dispatch to
-// specialized kernels against the generic scalar kernel over the same
-// segment-size distribution the bitmap filter produces.
+// BenchmarkAblationSpecialization compares the segment kernel (a branch-free
+// all-pairs loop up to kernels.SmallMax) against the scalar two-pointer
+// merge over the same segment-size distribution the bitmap filter produces.
 func BenchmarkAblationSpecialization(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 200_000
@@ -48,15 +46,14 @@ func BenchmarkAblationSpecialization(b *testing.B) {
 			segRNG.Intn(min(t[0], t[1])+1), uint32(8*(t[0]+t[1]+2)))
 		pairs = append(pairs, pair{x, y})
 	}
-	tbl := kernels.ForWidth(simd.WidthAVX)
-	b.Run("specialized", func(b *testing.B) {
+	b.Run("allpairs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range pairs {
-				benchSink += tbl.Count(p.a, p.b)
+				benchSink += kernels.Count(p.a, p.b)
 			}
 		}
 	})
-	b.Run("generic", func(b *testing.B) {
+	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range pairs {
 				benchSink += kernels.GenericCount(p.a, p.b)
@@ -187,25 +184,6 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 		b.Run(fmt.Sprintf("skew=%.3f/hash", skew), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				benchSink += core.CountHash(sa, sb)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationKernelStride measures the run-time cost of stride
-// sampling (redundant comparisons from rounded-up kernels) that Table II's
-// code-size savings buy.
-func BenchmarkAblationKernelStride(b *testing.B) {
-	rng := rand.New(rand.NewSource(36))
-	const n = 200_000
-	ea, eb := datasets.GenPairSelectivity(rng, n, n, 0.01, uint32(16*n))
-	for _, stride := range []int{1, 4, 8} {
-		cfg := core.Config{Width: simd.WidthAVX512, Stride: stride}
-		sa := core.MustNewSet(ea, cfg)
-		sb := core.MustNewSet(eb, cfg)
-		b.Run(fmt.Sprintf("stride=%d", stride), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += core.CountMerge(sa, sb)
 			}
 		})
 	}

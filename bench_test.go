@@ -21,40 +21,43 @@ import (
 	"fesia/internal/icachesim"
 	"fesia/internal/invindex"
 	"fesia/internal/kernels"
+	"fesia/internal/kernels/kernelgen"
 	"fesia/internal/simd"
 )
 
 var benchSink int
 
 // ---------------------------------------------------------------------------
-// Figures 4-6: specialized vs general kernels per ISA width.
+// Figures 4-6: the assembly small kernel vs the portable segment kernel,
+// over sizes up to 2V-1 of each width. The AVX512 figure forces the AVX-512
+// tier, the others the AVX2 tier (see experiments.KernelSpeedups).
 // ---------------------------------------------------------------------------
 
 func benchKernels(b *testing.B, w simd.Width) {
 	rng := rand.New(rand.NewSource(4))
-	tbl := kernels.ForWidth(w)
-	sizes := []struct{ sa, sb int }{
-		{1, 1}, {1, tbl.Cap() / 2}, {2, 4}, {tbl.Cap() / 2, tbl.Cap() / 2},
-		{tbl.Cap(), tbl.Cap()},
-	}
+	prevAsm := simd.SetAsmEnabled(true)
+	prevAvx512 := simd.SetAvx512Enabled(w == simd.WidthAVX512)
+	defer func() {
+		simd.SetAvx512Enabled(prevAvx512)
+		simd.SetAsmEnabled(prevAsm)
+	}()
+	top := 2*w.Lanes() - 1
+	sizes := []struct{ sa, sb int }{{1, 1}, {1, top / 2}, {2, 4}, {top / 2, top / 2}, {top, top}}
 	for _, sz := range sizes {
-		if sz.sa == 0 || sz.sb == 0 {
-			continue
-		}
 		as := make([][]uint32, 64)
 		bs := make([][]uint32, 64)
 		for i := range as {
 			as[i], bs[i] = datasets.GenPair(rng, sz.sa, sz.sb,
 				rng.Intn(min(sz.sa, sz.sb)+1), uint32(8*(sz.sa+sz.sb)))
 		}
-		b.Run(fmt.Sprintf("general/%dx%d", sz.sa, sz.sb), func(b *testing.B) {
+		b.Run(fmt.Sprintf("portable/%dx%d", sz.sa, sz.sb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink += kernels.GeneralCount(w, as[i%64], bs[i%64])
+				benchSink += kernels.Count(as[i%64], bs[i%64])
 			}
 		})
-		b.Run(fmt.Sprintf("specialized/%dx%d", sz.sa, sz.sb), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s/%dx%d", simd.Backend(), sz.sa, sz.sb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink += tbl.Count(as[i%64], bs[i%64])
+				benchSink += simd.CountSmall(as[i%64], bs[i%64])
 			}
 		})
 	}
@@ -295,14 +298,12 @@ func BenchmarkTable2KernelStride(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const n = 200_000
 	ea, eb := datasets.GenPairSelectivity(rng, n, n, 0.01, uint32(16*n))
+	// A dense bitmap (Scale 1.5) spreads dispatches across many kernel
+	// sizes, the regime Table II's stride sampling addresses.
+	cfg := core.Config{Width: simd.WidthAVX512, Scale: 1.5}
+	trace := core.DispatchTrace(core.MustNewSet(ea, cfg), core.MustNewSet(eb, cfg))
 	for _, stride := range []int{1, 4, 8} {
-		// A dense bitmap (Scale 1.5) spreads dispatches across many kernel
-		// sizes, the regime Table II's stride sampling addresses.
-		cfg := core.Config{Width: simd.WidthAVX512, Stride: stride, Scale: 1.5}
-		sa := core.MustNewSet(ea, cfg)
-		sb := core.MustNewSet(eb, cfg)
-		trace := core.DispatchTrace(sa, sb)
-		layout := icachesim.NewLayout(kernels.ForStride(stride))
+		layout := icachesim.NewLayout(kernelgen.NewModel(kernelgen.StrideSpec(stride)))
 		b.Run(fmt.Sprintf("stride=%d", stride), func(b *testing.B) {
 			misses := 0
 			for i := 0; i < b.N; i++ {
@@ -312,12 +313,6 @@ func BenchmarkTable2KernelStride(b *testing.B) {
 			}
 			b.ReportMetric(float64(layout.CodeBytes()), "code-bytes")
 			b.ReportMetric(float64(misses), "l1i-misses")
-		})
-		// The intersection itself must stay correct and fast per stride.
-		b.Run(fmt.Sprintf("stride=%d/count", stride), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += core.CountMerge(sa, sb)
-			}
 		})
 	}
 }

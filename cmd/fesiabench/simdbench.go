@@ -2,7 +2,7 @@
 // routine against its pure-Go reference on the same inputs and writes one row
 // per ladder tier to BENCH_simd.json. Each routine appears up to three times —
 // "<name>/avx512", "<name>/avx2" and "<name>/go" — toggled via
-// simd.SetAsmEnabled / simd.SetAvx512Enabled / kernels.UseAsmKernels, so the
+// simd.SetAsmEnabled / simd.SetAvx512Enabled, so the
 // file documents exactly what each rung of the ISA ladder buys on the build
 // machine. The mode also enforces structural gates at generation time: the
 // fused bitmap-filter kernel must beat the pure-Go loop by
@@ -23,7 +23,6 @@ import (
 	"fesia/internal/core"
 	"fesia/internal/datasets"
 	"fesia/internal/hashutil"
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 )
 
@@ -40,7 +39,7 @@ const simdEndToEndMaxRatio = 0.97
 // simdMaterializeMinSpeedup is the AVX-512-only acceptance floor for the
 // ordered-intersect materialize kernel: the avx512 tier (compress-store)
 // must beat the avx2 tier (which has no vector materialize and runs the
-// generated scalar kernels) by at least this factor on 16x16 segments.
+// scalar merge) by at least this factor on 16x16 segments.
 const simdMaterializeMinSpeedup = 1.2
 
 // simdProbeMinSpeedup is the AVX-512-only acceptance floor for the gathered
@@ -176,7 +175,6 @@ func runSimdBench(path string, quick bool) ([]benchResult, error) {
 			}
 			prevAsm := simd.SetAsmEnabled(tier.asm)
 			prevAvx512 := simd.SetAvx512Enabled(tier.avx512)
-			prevK := kernels.UseAsmKernels(tier.asm)
 			count := c.run() // warm up outside the measurement
 			r := testing.Benchmark(func(tb *testing.B) {
 				tb.ReportAllocs()
@@ -184,7 +182,6 @@ func runSimdBench(path string, quick bool) ([]benchResult, error) {
 					c.run()
 				}
 			})
-			kernels.UseAsmKernels(prevK)
 			simd.SetAvx512Enabled(prevAvx512)
 			simd.SetAsmEnabled(prevAsm)
 			name := c.name + "/" + tier.suffix

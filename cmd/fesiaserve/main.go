@@ -156,7 +156,7 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fmt.Fprintf(w, `fesiaserve: sharded conjunctive-query tier, %d shards, generation %d
-  /query?items=a,b,...  conjunctive document count (comma-separated item IDs)
+  /query?items=a,b,...  conjunctive document count (at most 64 item IDs)
   /query?rand=k         random k-keyword query from the corpus
   X-Fesia-Deadline-Ms   per-request deadline override (header)
   X-Fesia-Trace: 1      force trace capture; span breakdown in the response
@@ -219,6 +219,14 @@ func retryAfterFor(err error) string {
 	return strconv.Itoa(base + rand.Intn(jitter))
 }
 
+// maxQueryItems bounds the terms of one /query?items= request: every term
+// costs a scatter leg on each shard, so an unbounded list lets one request
+// occupy the whole tier.
+const maxQueryItems = 64
+
+// errTooManyItems is the 400 reason for a request over maxQueryItems.
+const errTooManyItems = "items accepts at most 64 comma-separated IDs (each ID costs a scatter leg per shard)"
+
 // handleQuery answers one conjunctive query through the full serving path —
 // shedding, admission, sharded scatter-gather — bounded by the request
 // context plus the resolved deadline.
@@ -234,7 +242,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 		items = s.sampleItems(rng, k)
 	case r.URL.Query().Get("items") != "":
-		for _, f := range strings.Split(r.URL.Query().Get("items"), ",") {
+		fields := strings.Split(r.URL.Query().Get("items"), ",")
+		if len(fields) > maxQueryItems {
+			http.Error(w, errTooManyItems, http.StatusBadRequest)
+			return
+		}
+		for _, f := range fields {
 			v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 32)
 			if err != nil {
 				http.Error(w, "items must be comma-separated uint32 IDs", http.StatusBadRequest)

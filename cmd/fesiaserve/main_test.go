@@ -76,6 +76,40 @@ func TestServeMetricsSmoke(t *testing.T) {
 
 // TestServeQueryEndpoint checks /query answers on the PUBLIC mux match the
 // tier directly, and that malformed requests are rejected.
+// TestQueryItemsBound: /query?items= serves maxQueryItems terms and rejects
+// one more with a 400 naming the bound, before any scatter leg runs.
+func TestQueryItemsBound(t *testing.T) {
+	s := testServer(t)
+	mux := http.NewServeMux()
+	s.registerServing(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	query := func(n int) (int, string) {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = strconv.Itoa(int(s.queryable[i%len(s.queryable)]))
+		}
+		resp, err := http.Get(srv.URL + "/query?items=" + strings.Join(ids, ","))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := query(maxQueryItems); code != http.StatusOK {
+		t.Fatalf("%d items: status %d (%s), want 200", maxQueryItems, code, body)
+	}
+	code, body := query(maxQueryItems + 1)
+	if code != http.StatusBadRequest {
+		t.Fatalf("%d items: status %d, want 400", maxQueryItems+1, code)
+	}
+	if !strings.Contains(body, errTooManyItems) {
+		t.Errorf("%d items: body %q does not give the reason", maxQueryItems+1, body)
+	}
+}
+
 func TestServeQueryEndpoint(t *testing.T) {
 	s := testServer(t)
 	mux := http.NewServeMux()

@@ -8,20 +8,18 @@
 // an m-bit bitmap (m ≈ n·√w for SIMD width w), every s bits form a segment,
 // and elements are stored segment-by-segment in a reordered array.
 // Intersection then runs in two steps — a wide bitwise AND over the bitmaps
-// prunes segments that cannot intersect, and small specialized kernels
-// (dispatched by exact segment sizes through a jump table) intersect the few
-// surviving segment pairs. The expected cost is O(n/√w + r) instead of the
-// O(n1 + n2) of merge-based methods.
+// prunes segments that cannot intersect, and a small segment kernel
+// intersects the few surviving segment pairs. The expected cost is
+// O(n/√w + r) instead of the O(n1 + n2) of merge-based methods.
 //
-// Because Go has no SIMD intrinsics, the kernels execute the paper's exact
-// comparison streams as branchless scalar code (one op per element
-// comparison — the same currency every baseline in this repository uses),
-// validated against an emulated vector ISA that serves as their executable
-// specification (see internal/simd); the bitmap filter runs on native
-// 64-bit words, which is genuine data parallelism. The algorithmic
-// behaviour — work proportional to intersection size, strategy crossovers,
-// kernel specialization — is faithfully reproduced; the V-fold throughput
-// of real vector instructions is not claimed.
+// The bitmap filter runs on native 64-bit words, with AVX2/AVX-512 assembly
+// where the CPU has it. Surviving segments hold a handful of elements, so
+// every segment pair goes through one portable kernel — the paper's
+// all-pairs comparison stream as a branch-free loop, one op per comparison —
+// instead of the paper's precompiled per-size kernel library. The
+// algorithmic behaviour — work proportional to intersection size and the
+// strategy crossovers — is faithfully reproduced; the V-fold throughput of
+// real vector instructions in the segment step is not claimed.
 //
 // # Quick start
 //
@@ -30,7 +28,7 @@
 //	common := fesia.Intersect(a, b) // [21]
 //
 // Sets that will be intersected together must be built with the same
-// options (width, segment bits, seed, kernel stride); bitmap sizes adapt to
+// options (width, segment bits, seed); bitmap sizes adapt to
 // each set's cardinality and are reconciled automatically.
 //
 // # Choosing a strategy

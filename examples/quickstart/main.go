@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("A contains 21:", a.Contains(21))
 	fmt.Println("A contains 22:", a.Contains(22))
 
-	// Sets are configurable: emulated ISA width, segment size, bitmap
+	// Sets are configurable: ISA width, segment size, bitmap
 	// scale, hash seed. Sets intersected together must share options.
 	wideA := fesia.MustBuild(a.Elements(), fesia.WithWidth(fesia.AVX512), fesia.WithSegmentBits(16))
 	wideB := fesia.MustBuild(b.Elements(), fesia.WithWidth(fesia.AVX512), fesia.WithSegmentBits(16))

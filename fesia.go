@@ -7,7 +7,7 @@ import (
 	"fesia/internal/simd"
 )
 
-// Width selects the emulated vector ISA a set is built for.
+// Width is the vector width a set is built for (the paper's w).
 type Width = simd.Width
 
 // Supported ISA widths.
@@ -31,7 +31,7 @@ const (
 	// the default, and the historical behavior.
 	RepSegmented = core.RepSegmented
 	// RepArray forces the sorted-array representation: 4 bytes per element,
-	// intersected with SIMD jump-table kernels.
+	// intersected with the segment kernel.
 	RepArray = core.RepArray
 	// RepDense forces the dense-bitmap representation: one bit per value in
 	// the set's span, intersected by word-AND + popcount. Empty sets fall
@@ -49,8 +49,9 @@ type Set struct {
 // Option customizes Build.
 type Option func(*core.Config)
 
-// WithWidth selects the emulated vector ISA (SSE, AVX, AVX512).
-// Default: AVX.
+// WithWidth selects the vector width w of the paper's analysis (SSE, AVX,
+// AVX512), which sets the default bitmap scale √w. Sets intersected together
+// must share a width. Default: AVX.
 func WithWidth(w Width) Option {
 	return func(c *core.Config) { c.Width = w }
 }
@@ -73,13 +74,6 @@ func WithBitmapScale(scale float64) Option {
 // seed.
 func WithSeed(seed uint64) Option {
 	return func(c *core.Config) { c.Seed = seed }
-}
-
-// WithKernelStride samples the specialized-kernel sizes at the given stride
-// (1, 4 or 8), shrinking the kernel jump table as in Section VI / Table II.
-// Strides above 1 require AVX512.
-func WithKernelStride(stride int) Option {
-	return func(c *core.Config) { c.Stride = stride }
 }
 
 // WithRepresentation selects the physical representation: RepSegmented (the

@@ -4,24 +4,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 )
 
 // runTiers runs f once per available dispatch tier — scalar, avx2 (which on
-// AVX-512 hardware is the forced-AVX2 tier), avx512 — with the jump tables
-// patched, and returns the tier names alongside the results so callers can
+// AVX-512 hardware is the forced-AVX2 tier), avx512 — and returns the tier names alongside the results so callers can
 // require every tier to agree with the scalar reference. Dispatch state is
 // restored afterwards.
 func runTiers(t *testing.T, f func() any) (names []string, results []any) {
 	t.Helper()
-	prevK := kernels.UseAsmKernels(true)
 	prevAsm := simd.SetAsmEnabled(false)
 	prevAvx512 := simd.SetAvx512Enabled(false)
 	defer func() {
 		simd.SetAvx512Enabled(prevAvx512)
 		simd.SetAsmEnabled(prevAsm)
-		kernels.UseAsmKernels(prevK)
 	}()
 	names = append(names, "scalar")
 	results = append(results, f())
@@ -133,13 +129,11 @@ func TestMaterializeZeroAlloc(t *testing.T) {
 	if !simd.HasAVX512() {
 		t.Skip("AVX-512 rung not available")
 	}
-	prevK := kernels.UseAsmKernels(true)
 	prevAsm := simd.SetAsmEnabled(true)
 	prevAvx512 := simd.SetAvx512Enabled(true)
 	defer func() {
 		simd.SetAvx512Enabled(prevAvx512)
 		simd.SetAsmEnabled(prevAsm)
-		kernels.UseAsmKernels(prevK)
 	}()
 	rng := rand.New(rand.NewSource(42))
 	cfg := Config{Scale: 1} // big segments: exercises the 16-lane kernels

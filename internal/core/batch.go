@@ -13,31 +13,25 @@ import (
 // paper's database-query task (Section VII-F, one keyword's posting list vs
 // many others) and of triangle counting (one vertex's forward neighbors vs
 // each neighbor's list). The engine amortizes per-query work across the
-// candidate list: the query set's bitmap words, dispatcher and staging
+// candidate list: the query set's bitmap words and staging
 // scratch stay pinned hot instead of being re-derived per pair, and the
 // two-step algorithm runs as a *staged two-pass dispatch* — the split the
 // paper's Fig. 14 breakdown instruments, used here as an optimization.
 //
 // Pass 1 streams the bitmap word-AND and stages every surviving segment pair
-// as a compact (oa, oaEnd, ob, obEnd, ctrl) record in a reusable executor
-// buffer. Pass 2 walks the staged records and dispatches the specialized
-// kernels, touching the reordered data of segments a fixed distance ahead so
+// as a compact (oa, oaEnd, ob, obEnd) record in a reusable executor
+// buffer. Pass 2 walks the staged records and runs the segment kernel on
+// each, touching the reordered data of segments a fixed distance ahead so
 // their cache lines are in flight by the time their kernel runs. Separating
 // the phases keeps the unpredictable tzcnt/branch phase out of the kernel
 // phase's pipeline, and the record walk itself is branch-predictable.
 
 // stagedSeg is one surviving segment pair staged by dispatch pass 1:
-// half-open offset ranges into the two sets' reordered arrays plus the
-// precomputed jump-table control code (stagedGeneric when either side
-// exceeds the table capacity and must take the generic kernel).
+// half-open offset ranges into the two sets' reordered arrays.
 type stagedSeg struct {
 	oa, oaEnd uint32 // x-side range in the larger-bitmap set's reordered array
 	ob, obEnd uint32 // y-side range in the other set's reordered array
-	ctrl      int32
 }
-
-// stagedGeneric marks a staged pair that falls through to the generic kernel.
-const stagedGeneric = int32(-1)
 
 // stageReadAhead is the fixed dispatch-to-touch distance of pass 2: while
 // record i's kernel runs, the first cache line of record i+stageReadAhead's
@@ -57,7 +51,6 @@ func stageSegPairs(x, y *Set, recs []stagedSeg) []stagedSeg {
 // x's bitmap — the checkpoint unit of the context-aware paths (ctx.go), which
 // stage one word block at a time so cancellation is honored between blocks.
 func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
-	d := &x.disp
 	xw, yw := x.bm.Words(), y.bm.Words()
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
@@ -99,15 +92,7 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 						seg := base + simd.Tzcnt32(m)
 						m &= m - 1
 						segY := seg & segMaskY
-						oa, oaEnd := xo[seg], xo[seg+1]
-						ob, obEnd := yo[segY], yo[segY+1]
-						la := int(oaEnd - oa)
-						lb := int(obEnd - ob)
-						ctrl := stagedGeneric
-						if la <= d.Cap && lb <= d.Cap {
-							ctrl = int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
-						}
-						recs = append(recs, stagedSeg{oa, oaEnd, ob, obEnd, ctrl})
+						recs = append(recs, stagedSeg{xo[seg], xo[seg+1], yo[segY], yo[segY+1]})
 					}
 				}
 			}
@@ -127,62 +112,40 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 			w &^= segClear << uint(segOff)
 			seg := base + segOff>>segShift
 			segY := seg & segMaskY
-			oa, oaEnd := xo[seg], xo[seg+1]
-			ob, obEnd := yo[segY], yo[segY+1]
-			la := int(oaEnd - oa)
-			lb := int(obEnd - ob)
-			ctrl := stagedGeneric
-			if la <= d.Cap && lb <= d.Cap {
-				ctrl = int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
-			}
-			recs = append(recs, stagedSeg{oa, oaEnd, ob, obEnd, ctrl})
+			recs = append(recs, stagedSeg{xo[seg], xo[seg+1], yo[segY], yo[segY+1]})
 		}
 	}
 	return recs
 }
 
 // dispatchStagedCount runs dispatch pass 2 for counting: every staged record
-// is dispatched to its counting kernel, with the fixed-distance read-ahead
+// is counted by the segment kernel, with the fixed-distance read-ahead
 // touch of upcoming segment data. The touched words are accumulated and
 // returned so the loads cannot be dead-code-eliminated; callers fold the
 // value into a sink.
-func dispatchStagedCount(d *kernels.Dispatcher, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
-	cnt := d.Count
+func dispatchStagedCount(xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
 	for i := range recs {
 		if j := i + stageReadAhead; j < len(recs) {
 			rj := &recs[j]
 			touch += xr[rj.oa] + yr[rj.ob]
 		}
 		r := &recs[i]
-		a := xr[r.oa:r.oaEnd]
-		b := yr[r.ob:r.obEnd]
-		if r.ctrl == stagedGeneric {
-			n += kernels.GenericCount(a, b)
-			continue
-		}
-		n += cnt[r.ctrl](a, b)
+		n += kernels.Count(xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
 	}
 	return n, touch
 }
 
-// dispatchStagedIntersect is pass 2 for materialization: kernels write into
-// dst (which must have room for every pair's smaller side) in staged order —
-// the same segment order IntersectMerge produces.
-func dispatchStagedIntersect(d *kernels.Dispatcher, dst, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
-	inter := d.Inter
+// dispatchStagedIntersect is pass 2 for materialization: the kernel writes
+// into dst (which must have room for the whole intersection) in staged
+// order — the same segment order IntersectMerge produces.
+func dispatchStagedIntersect(dst, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
 	for i := range recs {
 		if j := i + stageReadAhead; j < len(recs) {
 			rj := &recs[j]
 			touch += xr[rj.oa] + yr[rj.ob]
 		}
 		r := &recs[i]
-		a := xr[r.oa:r.oaEnd]
-		b := yr[r.ob:r.obEnd]
-		if r.ctrl == stagedGeneric {
-			n += kernels.GenericIntersect(dst[n:], a, b)
-			continue
-		}
-		n += inter[r.ctrl](dst[n:], a, b)
+		n += kernels.Intersect(dst[n:], xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
 	}
 	return n, touch
 }
@@ -203,7 +166,7 @@ func countMergeStaged(a, b *Set, recs []stagedSeg, st, kst *stats.Shard) (int, [
 		st.Add(stats.CtrSegPairs, uint64(len(recs)))
 		st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
 	}
-	n, touch := dispatchStagedCount(&x.disp, x.reordered, y.reordered, recs)
+	n, touch := dispatchStagedCount(x.reordered, y.reordered, recs)
 	return n, recs, touch
 }
 
@@ -510,7 +473,7 @@ func (e *Executor) ensureProbe() {
 // CountMany fills out[i] with |q ∩ candidates[i]| for every candidate,
 // exactly matching a loop of Count(q, candidates[i]) — including the
 // per-candidate adaptive merge/hash switch — but amortizing query-side work
-// across the batch: q's bitmap words, dispatcher and the staging buffer stay
+// across the batch: q's bitmap words and the staging buffer stay
 // hot, and the merge pairs run through the staged two-pass dispatch. out must
 // have at least len(candidates) entries. Zero heap allocations once the
 // staging buffer has grown to the workload's largest candidate.
@@ -617,7 +580,7 @@ func (e *Executor) IntersectManyInto(dst []uint32, counts []int, q *Set, candida
 					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
 				}
 				var t uint32
-				n, t = dispatchStagedIntersect(&x.disp, dst[total:], x.reordered, y.reordered, recs)
+				n, t = dispatchStagedIntersect(dst[total:], x.reordered, y.reordered, recs)
 				touch += t
 			}
 			planRecord(h, ch, pstart)
@@ -646,7 +609,6 @@ func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int,
 	}
 	e.ensureProbe()
 	recs := e.staged
-	scratch := e.scratch
 	h := e.plan
 	cand := 0
 	emit1 := func(v uint32) { emit(cand, v) }
@@ -678,27 +640,15 @@ func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int,
 					st.Add(stats.CtrSegPairs, uint64(len(recs)))
 					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
 				}
-				scratch = growU32(scratch, max(min(x.maxSeg, y.maxSeg), 1))
-				d := &x.disp
 				xr, yr := x.reordered, y.reordered
 				for _, r := range recs {
-					a := xr[r.oa:r.oaEnd]
-					b := yr[r.ob:r.obEnd]
-					if r.ctrl == stagedGeneric {
-						kernels.GenericVisit(a, b, emit1)
-						continue
-					}
-					n := d.Inter[r.ctrl](scratch, a, b)
-					for _, v := range scratch[:n] {
-						emit(i, v)
-					}
+					kernels.Visit(xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd], emit1)
 				}
 			}
 			planRecord(h, ch, pstart)
 		}
 	}
 	e.staged = recs
-	e.scratch = scratch
 	if st != nil {
 		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
 		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)

@@ -48,7 +48,7 @@ func TestConfigNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Width != simd.WidthAVX || cfg.SegBits != 8 || cfg.Stride != 1 {
+	if cfg.Width != simd.WidthAVX || cfg.SegBits != 8 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if cfg.Scale < 15.9 || cfg.Scale > 16.1 {
@@ -58,17 +58,11 @@ func TestConfigNormalize(t *testing.T) {
 		{Width: 99},
 		{SegBits: 7},
 		{Scale: -1},
-		{Width: simd.WidthSSE, Stride: 4},
-		{Width: simd.WidthAVX512, Stride: 3},
 	}
 	for _, c := range bad {
 		if _, err := c.normalize(); err == nil {
 			t.Errorf("config %+v should be rejected", c)
 		}
-	}
-	// Valid strided config.
-	if _, err := (Config{Width: simd.WidthAVX512, Stride: 8}).normalize(); err != nil {
-		t.Errorf("AVX512 stride 8 rejected: %v", err)
 	}
 }
 
@@ -217,19 +211,23 @@ func TestStats(t *testing.T) {
 
 // TestIntersectAllConfigs is the central correctness test: FESIA (merge,
 // hash, adaptive, materializing, parallel) against scalar ground truth for
-// every width, several segment sizes, strides, scales, and skews.
+// every width, several segment sizes, scales, and skews, and for sets loaded
+// from snapshots that declare the legacy kernel strides 4 and 8.
 func TestIntersectAllConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	type variant struct {
 		name string
 		cfg  Config
 	}
+	// Sets of these variants are reloaded from a snapshot declaring the
+	// legacy kernel stride.
+	legacyStride := map[string]uint32{"AVX512s4": 4, "AVX512s8": 8}
 	variants := []variant{
 		{"SSE", Config{Width: simd.WidthSSE}},
 		{"AVX", Config{Width: simd.WidthAVX}},
 		{"AVX512", Config{Width: simd.WidthAVX512}},
-		{"AVX512s4", Config{Width: simd.WidthAVX512, Stride: 4}},
-		{"AVX512s8", Config{Width: simd.WidthAVX512, Stride: 8}},
+		{"AVX512s4", Config{Width: simd.WidthAVX512}},
+		{"AVX512s8", Config{Width: simd.WidthAVX512}},
 		{"seg16", Config{SegBits: 16}},
 		{"seg32", Config{SegBits: 32}},
 		{"denseBitmap", Config{Scale: 2}}, // crowded segments, big kernel sizes
@@ -250,6 +248,10 @@ func TestIntersectAllConfigs(t *testing.T) {
 
 				sa := MustNewSet(ea, v.cfg)
 				sb := MustNewSet(eb, v.cfg)
+				if stride := legacyStride[v.name]; stride != 0 {
+					sa = reloadWithStride(t, sa, stride)
+					sb = reloadWithStride(t, sb, stride)
+				}
 
 				if got := CountMerge(sa, sb); got != len(want) {
 					t.Errorf("%s CountMerge(%d,%d) = %d, want %d", v.name, sh.na, sh.nb, got, len(want))

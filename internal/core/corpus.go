@@ -27,6 +27,8 @@ import (
 //
 //	magic "FESIAC3\x00" (8 bytes)
 //	config: width, segBits, stride (uint32 each), scale (float64), seed (uint64)
+//	        (stride is written as 1, validated and ignored, as in the set
+//	        format)
 //	numSets (uint64)
 //	per set: rep (uint32), base (uint32), n (uint64), mBits (uint64)
 //	per set payload:
@@ -71,7 +73,7 @@ func writeCorpus(w io.Writer, sets []*Set) (int64, error) {
 		return cw.n, err
 	}
 	hdr := []interface{}{
-		uint32(cfg.Width), uint32(cfg.SegBits), uint32(cfg.Stride),
+		uint32(cfg.Width), uint32(cfg.SegBits), snapshotStride,
 		math.Float64bits(cfg.Scale), cfg.Seed,
 		uint64(len(sets)),
 	}
@@ -142,7 +144,7 @@ func writeCorpusV2(w io.Writer, sets []*Set) (int64, error) {
 		return cw.n, err
 	}
 	hdr := []interface{}{
-		uint32(cfg.Width), uint32(cfg.SegBits), uint32(cfg.Stride),
+		uint32(cfg.Width), uint32(cfg.SegBits), snapshotStride,
 		math.Float64bits(cfg.Scale), cfg.Seed,
 		uint64(len(sets)),
 	}
@@ -305,12 +307,14 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 			return nil, fmt.Errorf("core: reading corpus header: %w", noEOF(err))
 		}
 	}
+	if err := checkSnapshotStride(stride); err != nil {
+		return nil, fmt.Errorf("core: invalid corpus config: %w", err)
+	}
 	cfg := Config{
 		Width:   simd.Width(width),
 		SegBits: int(segBits),
 		Scale:   math.Float64frombits(scaleBits),
 		Seed:    seed,
-		Stride:  int(stride),
 	}
 	cfg, err := cfg.normalize()
 	if err != nil {

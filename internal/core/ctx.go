@@ -146,7 +146,7 @@ func (e *Executor) countMergeCtx(ctx context.Context, a, b *Set) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		dn, dt := dispatchStagedCount(&x.disp, x.reordered, y.reordered,
+		dn, dt := dispatchStagedCount(x.reordered, y.reordered,
 			recs[lo:min(lo+ctxStageBlock, len(recs))])
 		n += dn
 		touch += dt
@@ -258,7 +258,7 @@ func (e *Executor) intersectMergeCtx(ctx context.Context, dst []uint32, a, b *Se
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		dn, dt := dispatchStagedIntersect(&x.disp, dst[n:], x.reordered, y.reordered,
+		dn, dt := dispatchStagedIntersect(dst[n:], x.reordered, y.reordered,
 			recs[lo:min(lo+ctxStageBlock, len(recs))])
 		n += dn
 		touch += dt

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fesia/internal/bitmap"
+	"fesia/internal/kernels"
 	"fesia/internal/planner"
 	"fesia/internal/stats"
 	"fesia/internal/trace"
@@ -30,7 +31,6 @@ type Visitor func(uint32)
 // from multiple goroutines at once — give each query goroutine its own, or
 // recycle them through a sync.Pool as the package-level wrappers do.
 type Executor struct {
-	scratch []uint32 // segment-pair staging for the visitor paths
 	chain1  []uint32 // k-way pairwise chain buffer A
 	chain2  []uint32 // k-way pairwise chain buffer B
 	ord     []*Set   // k-way bitmap-size ordering scratch
@@ -251,8 +251,8 @@ func (e *Executor) Visit(a, b *Set, emit Visitor) {
 }
 
 // VisitMerge streams the two-step FESIAmerge intersection through emit: each
-// surviving segment pair is dispatched to its specialized kernel and the
-// kernel's output replayed element-wise, so no per-query result slice exists.
+// surviving segment pair's matches stream from the segment kernel straight
+// into emit, so no per-query result slice exists.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
 func (e *Executor) VisitMerge(a, b *Set, emit Visitor) {
 	if crossPair(a, b) {
@@ -261,9 +261,6 @@ func (e *Executor) VisitMerge(a, b *Set, emit Visitor) {
 	}
 	compatible(a, b)
 	x, y := ordered(a, b)
-	t := x.table
-	e.scratch = growU32(e.scratch, max(min(x.maxSeg, y.maxSeg), 1))
-	sc := e.scratch
 	st := e.st
 	kst := e.kernelShard()
 	var start time.Time
@@ -276,7 +273,7 @@ func (e *Executor) VisitMerge(a, b *Set, emit Visitor) {
 		if kst != nil {
 			kst.Kernel(int(x.sizes[sx]), int(y.sizes[sy]))
 		}
-		t.Visit(sc, x.segment(sx), y.segment(sy), emit)
+		kernels.Visit(x.segment(sx), y.segment(sy), emit)
 	})
 	if st != nil {
 		st.Add(stats.CtrSegPairs, uint64(pairs))
@@ -454,14 +451,13 @@ func (e *Executor) kwayPrepare(sets []*Set) (x *Set, rest []*Set) {
 // largest bitmap, on buffers sized by kwayPrepare.
 func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, sink func(cur []uint32)) {
 	buf1, buf2 := e.chain1, e.chain2
-	t := x.table
 	bitmap.ForEachIntersectingSegmentKRange(e.maps, wordLo, wordHi, func(seg int) {
 		cur := x.segment(seg)
 		n := len(cur)
 		out := buf1
 		for _, s := range rest {
 			sseg := s.segment(seg & (s.bm.NumSegments() - 1))
-			n = t.Intersect(out, cur, sseg)
+			n = kernels.Intersect(out, cur, sseg)
 			if n == 0 {
 				break
 			}
@@ -563,7 +559,6 @@ func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) 
 		start = time.Now()
 	}
 	e.ensureWorkers(workers)
-	t := x.table
 	chunk := (words + workers - 1) / workers
 	e.getPool().Do(workers, func(w int) {
 		ws := &e.workers[w]
@@ -580,7 +575,7 @@ func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) 
 		ws.buf = growU32(ws.buf, bound)
 		n := 0
 		forEachSegPairRange(x, y, lo, hi, func(sx, sy int) {
-			n += t.Intersect(ws.buf[n:], x.segment(sx), y.segment(sy))
+			n += kernels.Intersect(ws.buf[n:], x.segment(sx), y.segment(sy))
 		})
 		ws.count = n
 	})
@@ -677,7 +672,6 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	}
 	e.ensureWorkers(workers)
 	maps := e.maps
-	t := x.table
 	chunk := (words + workers - 1) / workers
 	e.getPool().Do(workers, func(w int) {
 		ws := &e.workers[w]
@@ -693,7 +687,7 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 			out := buf1
 			for _, s := range rest {
 				sseg := s.segment(seg & (s.bm.NumSegments() - 1))
-				n = t.Intersect(out, cur, sseg)
+				n = kernels.Intersect(out, cur, sseg)
 				if n == 0 {
 					break
 				}

@@ -18,8 +18,8 @@ import (
 // SIMD paths, and every other pair routes here. The matrix picks the cheaper
 // side to drive each pair:
 //
-//	array×array  sorted-merge via the jump-table count/intersect kernels when
-//	             both sides fit the table, the generic merge otherwise
+//	array×array  the segment kernel: the branch-free all-pairs loop when
+//	             both sides fit kernels.SmallMax, the merge otherwise
 //	array×seg    the array's elements probe the segmented set through the
 //	             existing branch-free hash probe (O(n_array))
 //	array×dense  the smaller side probes the other (bit test one way, binary
@@ -131,13 +131,11 @@ func crossRun(h *planner.Handle, denseAnd *[]uint64, a, b *Set, dst []uint32, em
 	return denseDenseRun(denseAnd, a, b, dst, emit)
 }
 
-// arrayArrayRun intersects two sorted arrays: the jump-table kernels when
-// both sides fit the table (the SIMD small-merge path), the generic scalar
-// merge otherwise. Results are ascending.
+// arrayArrayRun intersects two sorted arrays with the segment kernel: the
+// all-pairs loop when both fit kernels.SmallMax, the scalar merge otherwise.
+// Results are ascending.
 func arrayArrayRun(a, b *Set, dst []uint32, emit Visitor) int {
 	xa, xb := a.reordered, b.reordered
-	la, lb := len(xa), len(xb)
-	d := &a.disp
 	if emit != nil {
 		n := 0
 		kernels.GenericVisit(xa, xb, func(v uint32) {
@@ -147,17 +145,9 @@ func arrayArrayRun(a, b *Set, dst []uint32, emit Visitor) int {
 		return n
 	}
 	if dst != nil {
-		if la <= d.Cap && lb <= d.Cap {
-			ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-			return d.Inter[ctrl](dst, xa, xb)
-		}
-		return kernels.GenericIntersect(dst, xa, xb)
+		return kernels.Intersect(dst, xa, xb)
 	}
-	if la <= d.Cap && lb <= d.Cap {
-		ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-		return d.Count[ctrl](xa, xb)
-	}
-	return kernels.GenericCount(xa, xb)
+	return kernels.Count(xa, xb)
 }
 
 // arrayDenseRun intersects a sorted array with a dense bitmap. The probing

@@ -21,7 +21,7 @@ const SkewThreshold = 0.25
 const coreChunkBlocks = 256
 
 // CountMerge returns |a ∩ b| using the two-step FESIA algorithm
-// (Algorithm 1): bitmap-level AND, then specialized kernels on the
+// (Algorithm 1): bitmap-level AND, then the segment kernel on the
 // surviving segment pairs. This is the paper's FESIAmerge. Pairs involving a
 // non-segmented set have no merge/hash strategy distinction; they route to
 // the cross-representation dispatch matrix (hybrid.go).
@@ -36,8 +36,8 @@ func CountMerge(a, b *Set) int {
 
 // countMergeRange is the hot loop: it fuses the three bitmap-level steps of
 // Section IV (word AND, segment transformation, index extraction) with the
-// jump-table dispatch of Listing 2, over words [lo, hi) of the larger
-// bitmap. x must be the larger-bitmap set.
+// segment kernel calls, over words [lo, hi) of the larger bitmap. x must be
+// the larger-bitmap set.
 //
 // st, when non-nil, receives the segment-survival counters at range
 // granularity; the pair tally itself is a register increment kept
@@ -47,7 +47,6 @@ func CountMerge(a, b *Set) int {
 // the histogram's per-pair cost is paid on a thin sample while every counter
 // stays exact.
 func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
-	d := &x.disp
 	xw, yw := x.bm.Words(), y.bm.Words()
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
@@ -69,7 +68,7 @@ func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
 	if simd.AsmActive() && len(yw) >= simd.BlockWords && hi-lo >= 2*simd.BlockWords {
 		// Chunked mask-stream fast path: the fused AndSegMasks kernel emits
 		// one live-segment mask per 4-word block into a stack buffer, and the
-		// kernel dispatch walks the mask stream. Range edges are handled by
+		// kernel calls walk the mask stream. Range edges are handled by
 		// computing the full edge block and trimming out-of-range segment
 		// bits (the over-read stays inside the bitmap: word counts on this
 		// path are powers of two >= 2*BlockWords).
@@ -101,18 +100,11 @@ func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
 						segY := seg & segMaskY
 						oa, oaEnd := xo[seg], xo[seg+1]
 						ob, obEnd := yo[segY], yo[segY+1]
-						la := int(oaEnd - oa)
-						lb := int(obEnd - ob)
 						pairs++
 						if kst != nil {
-							kst.Kernel(la, lb)
+							kst.Kernel(int(oaEnd-oa), int(obEnd-ob))
 						}
-						if la > d.Cap || lb > d.Cap {
-							n += kernels.GenericCount(xr[oa:oaEnd], yr[ob:obEnd])
-							continue
-						}
-						ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-						n += d.Count[ctrl](xr[oa:oaEnd], yr[ob:obEnd])
+						n += kernels.Count(xr[oa:oaEnd], yr[ob:obEnd])
 					}
 				}
 			}
@@ -134,18 +126,11 @@ func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
 			segY := seg & segMaskY
 			oa, oaEnd := xo[seg], xo[seg+1]
 			ob, obEnd := yo[segY], yo[segY+1]
-			la := int(oaEnd - oa)
-			lb := int(obEnd - ob)
 			pairs++
 			if kst != nil {
-				kst.Kernel(la, lb)
+				kst.Kernel(int(oaEnd-oa), int(obEnd-ob))
 			}
-			if la > d.Cap || lb > d.Cap {
-				n += kernels.GenericCount(xr[oa:oaEnd], yr[ob:obEnd])
-				continue
-			}
-			ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-			n += d.Count[ctrl](xr[oa:oaEnd], yr[ob:obEnd])
+			n += kernels.Count(xr[oa:oaEnd], yr[ob:obEnd])
 		}
 	}
 	if st != nil {
@@ -165,10 +150,9 @@ func IntersectMerge(dst []uint32, a, b *Set) int {
 	}
 	compatible(a, b)
 	x, y := ordered(a, b)
-	t := x.table
 	n := 0
 	forEachSegPair(x, y, func(sx, sy int) {
-		n += t.Intersect(dst[n:], x.segment(sx), y.segment(sy))
+		n += kernels.Intersect(dst[n:], x.segment(sx), y.segment(sy))
 	})
 	return n
 }
@@ -434,7 +418,7 @@ func useHash(a, b *Set) bool {
 
 // CountK returns |s1 ∩ s2 ∩ ... ∩ sk|. The k bitmaps are ANDed together to
 // prune segments none of which share a bit; the surviving segments'
-// element lists are then intersected pairwise with the specialized kernels.
+// element lists are then intersected pairwise with the segment kernel.
 // Expected work is O(kn/√w + r) (Proposition 2).
 //
 // This is a compatibility wrapper over a pooled default Executor; callers on
@@ -555,7 +539,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	bitmapTime := time.Since(start)
 
 	start = time.Now()
-	n, touch := dispatchStagedCount(&x.disp, x.reordered, y.reordered, recs)
+	n, touch := dispatchStagedCount(x.reordered, y.reordered, recs)
 	segTime := time.Since(start)
 	e.touchSink += touch
 

@@ -39,7 +39,10 @@ import (
 //	  RepDense:     dense words (mBits/64 × uint64) covering value range
 //	                [base, base+mBits)
 //
-// sizes are rederived from offsets; maxSeg is recomputed on load. The legacy
+// stride is the kernel sampling stride of the retired per-size kernel
+// library. Writers emit 1; readers accept 1, 4 or 8 and otherwise ignore it,
+// since every set now runs the same segment kernel. sizes are rederived
+// from offsets; maxSeg is recomputed on load. The legacy
 // v2 format ("FESIA2") is v3 minus the rep/base fields (segmented only), and
 // v1 ("FESIA1") is v2 minus all checksums; ReadSet accepts all three, WriteTo
 // emits v3.
@@ -157,7 +160,7 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 		mBits = uint64(len(s.dense)) * 64
 	}
 	hdr := []interface{}{
-		uint32(s.cfg.Width), uint32(s.cfg.SegBits), uint32(s.cfg.Stride),
+		uint32(s.cfg.Width), uint32(s.cfg.SegBits), snapshotStride,
 		math.Float64bits(s.cfg.Scale), s.cfg.Seed,
 		uint32(s.rep), base,
 		uint64(s.n), mBits,
@@ -208,7 +211,7 @@ func writeSetBodyLegacy(cw *crcWriter, s *Set, withCRC bool) error {
 		return err
 	}
 	hdr := []interface{}{
-		uint32(s.cfg.Width), uint32(s.cfg.SegBits), uint32(s.cfg.Stride),
+		uint32(s.cfg.Width), uint32(s.cfg.SegBits), snapshotStride,
 		math.Float64bits(s.cfg.Scale), s.cfg.Seed,
 		uint64(s.n), s.bm.Bits(),
 	}
@@ -317,6 +320,20 @@ func readU64sInto(r io.Reader, dst []uint64) error {
 	return nil
 }
 
+// snapshotStride is the stride header field every writer emits.
+const snapshotStride = uint32(1)
+
+// checkSnapshotStride validates the stride header field: the strides the
+// retired kernel library supported are accepted (and ignored), anything
+// else marks a corrupt or foreign stream.
+func checkSnapshotStride(stride uint32) error {
+	switch stride {
+	case 1, 4, 8:
+		return nil
+	}
+	return fmt.Errorf("core: unsupported kernel stride %d", stride)
+}
+
 // maxReasonable bounds header-declared sizes: anything above it is treated
 // as corruption rather than attempted.
 const maxReasonable = 1 << 40
@@ -348,12 +365,14 @@ func readSetHeader(r io.Reader, v3 bool) (h setHeader, err error) {
 			return h, fmt.Errorf("core: reading header: %w", noEOF(err))
 		}
 	}
+	if err := checkSnapshotStride(stride); err != nil {
+		return h, fmt.Errorf("core: invalid serialized config: %w", err)
+	}
 	cfg := Config{
 		Width:   simd.Width(width),
 		SegBits: int(segBits),
 		Scale:   math.Float64frombits(scaleBits),
 		Seed:    seed,
-		Stride:  int(stride),
 	}
 	cfg, err = cfg.normalize()
 	if err != nil {

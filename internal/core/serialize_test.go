@@ -32,7 +32,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	configs := []Config{
 		{},
 		{Width: simd.WidthSSE, SegBits: 16},
-		{Width: simd.WidthAVX512, Stride: 4, Scale: 4, Seed: 99},
+		{Width: simd.WidthAVX512, Scale: 4, Seed: 99},
 	}
 	for _, cfg := range configs {
 		for _, n := range []int{0, 1, 100, 5000} {

@@ -1,6 +1,5 @@
 // Package core implements FESIA (ICDE 2020): the segmented-bitmap set data
-// structure and the two-step intersection algorithm with specialized SIMD
-// kernels.
+// structure and the two-step intersection algorithm.
 //
 // A Set is built offline from a collection of 32-bit integers (Section
 // III-B): elements are hashed into an m-bit bitmap (m a power of two,
@@ -10,8 +9,8 @@
 // arrays of the paper's Fig. 1.
 //
 // Intersections then run in two steps (Section III-C): a bitmap-level AND
-// prunes segments with no common bits, and specialized kernels (package
-// kernels) intersect the element lists of the surviving segment pairs. The
+// prunes segments with no common bits, and the segment kernel (package
+// kernels) intersects the element lists of the surviving segment pairs. The
 // expected work is O(n/√w + r) (Proposition 1).
 //
 // The package also provides the paper's extensions: k-way intersection
@@ -28,7 +27,6 @@ import (
 
 	"fesia/internal/bitmap"
 	"fesia/internal/hashutil"
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -115,12 +113,13 @@ func chooseRep(sorted []uint32, force Rep) Rep {
 }
 
 // Config controls how a Set is built. Sets that will be intersected together
-// must be built with identical Width, SegBits, Seed and Stride; bitmap sizes
+// must be built with identical Width, SegBits and Seed; bitmap sizes
 // may differ (they are reconciled via the power-of-two wrapping rule).
 // Representations may differ freely across sets of one corpus.
 type Config struct {
-	// Width selects the emulated vector ISA (SSE, AVX, AVX512).
-	// Default: AVX.
+	// Width is the vector width w of the paper's analysis (SSE, AVX,
+	// AVX512): it sets the default bitmap scale √w. Sets built with
+	// different widths cannot be intersected together. Default: AVX.
 	Width simd.Width
 
 	// SegBits is the segment size s in bits: 8, 16 or 32. Smaller segments
@@ -135,12 +134,6 @@ type Config struct {
 	// Seed salts the universal hash function.
 	Seed uint64
 
-	// Stride samples the specialized-kernel sizes (Section VI): 1 keeps
-	// every kernel; 4 and 8 shrink the jump table as in Table II. Strides
-	// other than 1 require Width == AVX512 (the generated tables).
-	// Default: 1.
-	Stride int
-
 	// Rep selects the per-set representation. The zero value RepSegmented
 	// builds the paper's segmented bitmap for every set (the historical
 	// behavior); RepAuto picks segmented / array / dense per set by the
@@ -154,7 +147,7 @@ type Config struct {
 // DefaultConfig returns the configuration used throughout the paper's main
 // experiments: AVX-256, 8-bit segments, m = n·√w.
 func DefaultConfig() Config {
-	return Config{Width: simd.WidthAVX, SegBits: 8, Scale: 0, Seed: 0, Stride: 1}
+	return Config{Width: simd.WidthAVX, SegBits: 8, Scale: 0, Seed: 0}
 }
 
 // normalize validates cfg and fills defaults.
@@ -183,26 +176,10 @@ func (c Config) normalize() (Config, error) {
 	if c.Scale <= 0 || math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) {
 		return c, fmt.Errorf("core: invalid bitmap scale %v", c.Scale)
 	}
-	if c.Stride == 0 {
-		c.Stride = 1
-	}
-	if c.Stride != 1 && c.Width != simd.WidthAVX512 {
-		return c, fmt.Errorf("core: kernel stride %d requires AVX512", c.Stride)
-	}
-	if c.Stride != 1 && c.Stride != 4 && c.Stride != 8 {
-		return c, fmt.Errorf("core: unsupported kernel stride %d", c.Stride)
-	}
 	if c.Rep >= numReps && c.Rep != RepAuto {
 		return c, fmt.Errorf("core: invalid representation %d", c.Rep)
 	}
 	return c, nil
-}
-
-func (c Config) table() *kernels.Table {
-	if c.Stride != 1 {
-		return kernels.ForStride(c.Stride)
-	}
-	return kernels.ForWidth(c.Width)
 }
 
 // Set is an immutable FESIA set in one of three physical representations:
@@ -213,8 +190,6 @@ func (c Config) table() *kernels.Table {
 type Set struct {
 	cfg    Config
 	hasher hashutil.Hasher
-	table  *kernels.Table
-	disp   kernels.Dispatcher // cached jump-table view for the hot loop
 
 	rep Rep
 
@@ -383,12 +358,9 @@ func bitmapBits(n int, scale float64) uint64 {
 // bitmap and sizes/offsets/reordered storage. Callers must fill() it before
 // use.
 func newShell(cfg Config, bm *bitmap.Bitmap, sizes, offsets, reordered []uint32) *Set {
-	table := cfg.table()
 	return &Set{
 		cfg:       cfg,
 		hasher:    hashutil.New(cfg.Seed),
-		table:     table,
-		disp:      table.Dispatcher(),
 		rep:       RepSegmented,
 		bm:        bm,
 		n:         len(reordered),
@@ -401,12 +373,9 @@ func newShell(cfg Config, bm *bitmap.Bitmap, sizes, offsets, reordered []uint32)
 // newArrayShell assembles a RepArray Set around a sorted, duplicate-free
 // (possibly arena-backed) element slice. elems is retained, not copied.
 func newArrayShell(cfg Config, elems []uint32) *Set {
-	table := cfg.table()
 	return &Set{
 		cfg:       cfg,
 		hasher:    hashutil.New(cfg.Seed),
-		table:     table,
-		disp:      table.Dispatcher(),
 		rep:       RepArray,
 		n:         len(elems),
 		reordered: elems,
@@ -416,12 +385,9 @@ func newArrayShell(cfg Config, elems []uint32) *Set {
 // newDenseShell assembles a RepDense Set around a (possibly arena-backed)
 // word slice covering [base, base+64*len(words)). words is retained.
 func newDenseShell(cfg Config, words []uint64, base uint32, n int) *Set {
-	table := cfg.table()
 	return &Set{
 		cfg:    cfg,
 		hasher: hashutil.New(cfg.Seed),
-		table:  table,
-		disp:   table.Dispatcher(),
 		rep:    RepDense,
 		n:      n,
 		dense:  words,
@@ -668,7 +634,7 @@ func compatible(a, b *Set) {
 	if a.cfg.SegBits != b.cfg.SegBits {
 		panic("core: sets built with different segment sizes")
 	}
-	if a.table != b.table {
+	if a.cfg.Width != b.cfg.Width {
 		panic("core: sets built with different kernel tables")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"fesia/internal/core"
 	"fesia/internal/datasets"
 	"fesia/internal/icachesim"
-	"fesia/internal/kernels"
+	"fesia/internal/kernels/kernelgen"
 	"fesia/internal/simd"
 )
 
@@ -87,7 +87,7 @@ func Table2(n int) *Table {
 		Header: []string{"SIMD Kernels", "Kernels", "CodeSize(bytes)", "L1i misses", "MissReduction"},
 		Notes: []string{
 			fmt.Sprintf("trace: %d kernel dispatches from a %d-element pair; 32KiB/64B/8-way LRU model", len(trace), n),
-			"code sizes come from the generator's instruction cost model (DESIGN.md)",
+			"code sizes come from the kernel library's instruction cost model (internal/kernels/kernelgen)",
 		},
 	}
 	var fullMisses int
@@ -99,8 +99,7 @@ func Table2(n int) *Table {
 		{"AVX512-stride4", 4},
 		{"AVX512-stride8", 8},
 	} {
-		tbl := kernels.ForStride(row.stride)
-		layout := icachesim.NewLayout(tbl)
+		layout := icachesim.NewLayout(kernelgen.NewModel(kernelgen.StrideSpec(row.stride)))
 		cache := icachesim.New(32*1024, 64, 8)
 		misses := layout.Replay(cache, trace)
 		if row.stride == 1 {

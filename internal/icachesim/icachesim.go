@@ -13,7 +13,7 @@ package icachesim
 import (
 	"fmt"
 
-	"fesia/internal/kernels"
+	"fesia/internal/kernels/kernelgen"
 )
 
 // Cache is a set-associative cache with LRU replacement.
@@ -112,22 +112,22 @@ func (c *Cache) AccessRange(addr uint64, size int) int {
 	return misses
 }
 
-// Layout places every kernel of a table at a fixed synthetic address,
-// contiguously in control-code order, mirroring how the linker lays out the
-// generated kernel library.
+// Layout places every kernel of a modelled library at a fixed synthetic
+// address, contiguously in control-code order, mirroring how a linker lays
+// out a precompiled kernel library.
 type Layout struct {
-	table *kernels.Table
+	model *kernelgen.Model
 	addr  map[int]uint64 // ctrl -> start address
 	size  map[int]int    // ctrl -> bytes
 	total uint64
 }
 
-// NewLayout builds the address map for a kernel table.
-func NewLayout(t *kernels.Table) *Layout {
-	l := &Layout{table: t, addr: map[int]uint64{}, size: map[int]int{}}
-	for sa := 0; sa <= t.Cap(); sa++ {
-		for sb := 0; sb <= t.Cap(); sb++ {
-			bytes, ctrl, ok := t.KernelBytes(sa, sb)
+// NewLayout builds the address map for a kernel library model.
+func NewLayout(m *kernelgen.Model) *Layout {
+	l := &Layout{model: m, addr: map[int]uint64{}, size: map[int]int{}}
+	for sa := 0; sa <= m.Cap(); sa++ {
+		for sb := 0; sb <= m.Cap(); sb++ {
+			bytes, ctrl, ok := m.KernelBytes(sa, sb)
 			if !ok {
 				continue
 			}
@@ -150,14 +150,14 @@ func (l *Layout) NumKernels() int { return len(l.addr) }
 
 // Replay executes a dispatch trace of (sa, sb) segment-size pairs against
 // the cache and returns the number of i-cache misses. Pairs beyond the
-// table's capacity dispatch to the shared generic kernel, modelled at a
-// fixed address past the table.
+// library's capacity dispatch to the shared generic kernel, modelled at a
+// fixed address past the library.
 func (l *Layout) Replay(c *Cache, trace [][2]int) int {
 	genericAddr := l.total
 	const genericSize = 160
 	misses := 0
 	for _, p := range trace {
-		_, ctrl, ok := l.table.KernelBytes(p[0], p[1])
+		_, ctrl, ok := l.model.KernelBytes(p[0], p[1])
 		if !ok {
 			misses += c.AccessRange(genericAddr, genericSize)
 			continue

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"fesia/internal/kernels"
+	"fesia/internal/kernels/kernelgen"
 )
 
 func TestCacheBasics(t *testing.T) {
@@ -87,17 +87,18 @@ func TestAccessRange(t *testing.T) {
 }
 
 func TestLayout(t *testing.T) {
-	l := NewLayout(kernels.TableSSE)
+	sse := kernelgen.NewModel(kernelgen.Specs()[0])
+	l := NewLayout(sse)
 	if l.NumKernels() == 0 || l.CodeBytes() == 0 {
 		t.Fatal("empty layout")
 	}
-	if uint64(kernels.TableSSE.CodeSize()) != l.CodeBytes() {
-		t.Errorf("layout bytes %d != table code size %d", l.CodeBytes(), kernels.TableSSE.CodeSize())
+	if uint64(sse.CodeSize()) != l.CodeBytes() {
+		t.Errorf("layout bytes %d != model code size %d", l.CodeBytes(), sse.CodeSize())
 	}
-	// Stride tables collapse many pairs onto few kernels.
-	lFull := NewLayout(kernels.TableAVX512)
-	l4 := NewLayout(kernels.TableAVX512S4)
-	l8 := NewLayout(kernels.TableAVX512S8)
+	// Strided libraries collapse many pairs onto few kernels.
+	lFull := NewLayout(kernelgen.NewModel(kernelgen.StrideSpec(1)))
+	l4 := NewLayout(kernelgen.NewModel(kernelgen.StrideSpec(4)))
+	l8 := NewLayout(kernelgen.NewModel(kernelgen.StrideSpec(8)))
 	if !(lFull.NumKernels() > l4.NumKernels() && l4.NumKernels() > l8.NumKernels()) {
 		t.Errorf("kernel counts not monotone: %d, %d, %d",
 			lFull.NumKernels(), l4.NumKernels(), l8.NumKernels())
@@ -115,13 +116,11 @@ func TestTable2Ordering(t *testing.T) {
 		// filter produces: mostly tiny, occasionally large.
 		trace[i] = [2]int{rng.Intn(6) + rng.Intn(26)*(rng.Intn(8)/7) + 1, rng.Intn(6) + 1}
 	}
-	miss := func(tbl *kernels.Table) int {
+	miss := func(stride int) int {
 		c := New(32*1024, 64, 8)
-		return NewLayout(tbl).Replay(c, trace)
+		return NewLayout(kernelgen.NewModel(kernelgen.StrideSpec(stride))).Replay(c, trace)
 	}
-	full := miss(kernels.TableAVX512)
-	s4 := miss(kernels.TableAVX512S4)
-	s8 := miss(kernels.TableAVX512S8)
+	full, s4, s8 := miss(1), miss(4), miss(8)
 	if !(full > s4 && s4 > s8) {
 		t.Errorf("misses not monotone: full=%d s4=%d s8=%d", full, s4, s8)
 	}
@@ -129,7 +128,7 @@ func TestTable2Ordering(t *testing.T) {
 
 func TestReplayOverCap(t *testing.T) {
 	c := New(32*1024, 64, 8)
-	l := NewLayout(kernels.TableSSE)
+	l := NewLayout(kernelgen.NewModel(kernelgen.Specs()[0]))
 	// Over-cap pairs go through the generic kernel at a stable address:
 	// first touch misses, the rest hit.
 	m := l.Replay(c, [][2]int{{100, 100}, {100, 100}, {50, 9}})

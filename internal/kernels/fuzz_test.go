@@ -2,16 +2,18 @@ package kernels
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"testing"
 
 	"fesia/internal/simd"
 )
 
-// FuzzTableCount differentially tests every kernel table (all widths, all
-// strides) against the scalar generic kernel on fuzzer-chosen segment
-// contents and sizes, including the over-cap fallback boundary.
-func FuzzTableCount(f *testing.F) {
+// FuzzSegmentKernel differentially tests Count, Intersect and Visit against
+// the map reference on fuzzer-chosen segment contents and sizes, including
+// the SmallMax cutover, and checks on every dispatch tier that the
+// assembly small kernels (simd.CountSmall/IntersectSmall) agree with them.
+func FuzzSegmentKernel(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 1, 2, 3, 4})
 	f.Add([]byte{0})
 	f.Add(make([]byte, 300))
@@ -30,37 +32,18 @@ func FuzzTableCount(f *testing.F) {
 		}
 		a := toSortedSet(data[:cut])
 		b := toSortedSet(data[cut:])
-		want := GenericCount(a, b)
-		dst := make([]uint32, min(len(a), len(b))+1)
-		wantDst := make([]uint32, min(len(a), len(b))+1)
-		GenericIntersect(wantDst, a, b)
-		// Each dispatch tier must agree: the patched jump-table wrappers
-		// re-check the live switches, so forcing a tier exercises its
-		// kernels (including forced-AVX2 on AVX-512 hardware).
-		forEachTier(t, func(t *testing.T, _ string) {
-			for _, tbl := range Tables() {
-				if got := tbl.Count(a, b); got != want {
-					t.Fatalf("%v stride %d Count = %d, want %d\na=%v\nb=%v",
-						tbl.Width(), tbl.Stride(), got, want, a, b)
-				}
-				n := tbl.Intersect(dst, a, b)
-				if n != want {
-					t.Fatalf("%v stride %d Intersect = %d, want %d", tbl.Width(), tbl.Stride(), n, want)
-				}
-				for i, v := range dst[:n] {
-					if v != wantDst[i] {
-						t.Fatalf("%v stride %d Intersect elem %d = %d, want %d (ordered output)",
-							tbl.Width(), tbl.Stride(), i, v, wantDst[i])
-					}
-				}
+		checkKernel(t, a, b)
+		want := mapIntersect(a, b)
+		dst := make([]uint32, min(len(a), len(b)))
+		forEachTier(t, func(t *testing.T, tier string) {
+			if got := simd.CountSmall(a, b); got != len(want) {
+				t.Fatalf("%s CountSmall = %d, want %d\na=%v\nb=%v", tier, got, len(want), a, b)
+			}
+			n := simd.IntersectSmall(dst, a, b)
+			if !slices.Equal(dst[:n], want) {
+				t.Fatalf("%s IntersectSmall = %v, want %v (ordered output)", tier, dst[:n], want)
 			}
 		})
-		// The general kernels must agree at every width too.
-		for _, w := range []simd.Width{simd.WidthSSE, simd.WidthAVX, simd.WidthAVX512} {
-			if got := GeneralCount(w, a, b); got != want {
-				t.Fatalf("GeneralCount(%v) = %d, want %d", w, got, want)
-			}
-		}
 	})
 }
 
@@ -71,12 +54,5 @@ func toSortedSet(data []byte) []uint32 {
 		out = append(out, uint32(binary.LittleEndian.Uint16(data[i:]))%512)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	k := 0
-	for i, v := range out {
-		if i == 0 || v != out[k-1] {
-			out[k] = v
-			k++
-		}
-	}
-	return out[:k]
+	return slices.Compact(out)
 }

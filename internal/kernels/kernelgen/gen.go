@@ -1,92 +1,88 @@
-// Package kernelgen generates the specialized set-intersection kernels of
-// FESIA Section V as Go source code.
+// Package kernelgen models the code size of FESIA's specialized kernel
+// library (Section V and Table II of the paper).
 //
 // The paper compiles, ahead of time, one intersection kernel per segment
 // size pair (0-by-0 up to cap-by-cap) and per ISA, and dispatches through a
-// jump table (Listing 2). This package is the generator: cmd/genkernels
-// invokes it to (re)write the zz_gen_*.go files in internal/kernels.
+// jump table indexed by the control code of Listing 2:
 //
-// Two kernel shapes are emitted, following Section V-C:
+//	ctrl = Sa << bits | Sb
 //
-//   - small path (Sa ≤ V): the Sa elements of the smaller set are loaded
-//     into locals (the "broadcast registers" of Fig. 2/3) and every element
-//     of the larger set is compared against all of them with branchless
-//     straight-line code — exactly the all-pairs comparisons the paper's
-//     broadcast/compare/OR kernel performs, one op per comparison.
-//   - large-by-large (V < Sa ≤ Sb): a V-by-V kernel covers the first V
-//     elements of each side, then a runtime comparison of a[V-1] and b[V-1]
-//     selects which remainder kernel finishes the job (Fig. 3 right,
-//     "6-by-6").
+// The query engine does not use such a library (internal/kernels runs one
+// portable kernel), but Table II's comparison of kernel libraries does: it
+// needs each library's kernel count, its code size and the address range
+// every dispatch touches. Model provides those without emitting any code.
 //
-// Go has no SIMD intrinsics, so a native vector compare (V comparisons in
-// one instruction) has no Go equivalent; the generator emits the same
-// comparison stream the paper's kernels execute, costed at one scalar op
-// per element comparison. All methods in this repository — these kernels,
-// the general kernels they are measured against in Figures 4-6, and the
-// SIMD baselines — use that same currency, so relative results stay
-// meaningful (see DESIGN.md).
+// Each kernel is costed by its shape, following Section V-C:
 //
-// For wide vectors the paper samples kernel sizes at a stride (Section VI,
-// Table II) and rounds segment sizes up to the next sampled size. Sampled
-// ("strided") kernels therefore cannot assume exact sizes: they are emitted
-// with one guarded, statically-unrolled position per nominal element of the
-// larger side and a runtime loop over the smaller side — bigger true work,
-// much smaller kernel library, the exact trade the paper describes.
+//   - small-by-small (Sa ≤ Sb ≤ V): the Sa elements of the smaller set are
+//     loaded into registers and every element of the larger set is compared
+//     against all of them, fully unrolled — one branchless comparison each.
+//   - small-by-large (Sa ≤ V < Sb): the same registers, with the larger set
+//     streamed through a loop (Fig. 3 left).
+//   - large-by-large (V < Sa ≤ Sb): a V-by-V kernel plus a runtime-selected
+//     remainder kernel (Fig. 3 right), i.e. three calls and one compare.
+//   - Sa > Sb: a jump to the swapped kernel; a zero side: the shared empty
+//     kernel.
 //
-// Every generated kernel carries a modelled machine-code size, computed from
-// per-operation byte weights of typical x86 encodings. The model feeds the
-// Table II reproduction (code size and the instruction-cache simulation);
-// only its monotonicity across table configurations matters.
+// For wide vectors the paper samples kernel sizes at a stride (Section VI)
+// and rounds segment sizes up to the next sampled size. A sampled kernel
+// cannot assume exact sizes: it has one guarded position per nominal
+// element of the larger side and a runtime loop over the smaller side.
+//
+// Byte weights per operation follow typical x86-64 encodings; only their
+// monotonicity across library configurations matters for Table II.
 package kernelgen
 
-import (
-	"bytes"
-	"fmt"
-	"go/format"
-)
+import "fmt"
 
-// ISA describes one emulated vector instruction set.
+// ISA describes one vector instruction set by its register lanes.
 type ISA struct {
-	Tag   string // identifier fragment for function names, e.g. "SSE"
-	V     int    // 32-bit lanes per register
-	Width string // simd.Width constant name, e.g. "simd.WidthSSE"
+	Tag string // short name, e.g. "SSE"
+	V   int    // 32-bit lanes per register
 }
 
-// Predefined ISAs matching internal/simd.
+// The ISAs of the paper's experiments.
 var (
-	SSE    = ISA{Tag: "SSE", V: 4, Width: "simd.WidthSSE"}
-	AVX    = ISA{Tag: "AVX", V: 8, Width: "simd.WidthAVX"}
-	AVX512 = ISA{Tag: "A512", V: 16, Width: "simd.WidthAVX512"}
+	SSE    = ISA{Tag: "SSE", V: 4}
+	AVX    = ISA{Tag: "AVX", V: 8}
+	AVX512 = ISA{Tag: "A512", V: 16}
 )
 
-// Spec describes one kernel table to generate.
+// Spec describes one kernel library.
 type Spec struct {
-	FileName string // output file name inside internal/kernels
-	TableVar string // exported table variable, e.g. "TableSSE"
-	ISA      ISA
-	Cap      int // largest true segment size handled (inclusive)
-	Stride   int // 1 = exact kernels for every size; >1 = sampled sizes
+	ISA    ISA
+	Cap    int // largest true segment size handled (inclusive)
+	Stride int // 1 = exact kernels for every size; >1 = sampled sizes
 }
 
-// Specs returns the five kernel tables FESIA generates: exact tables for
-// SSE/AVX/AVX512 (caps 7/15/31 — twice the vector length minus one, as in
-// the paper's Figures 4-6) and the stride-4 and stride-8 sampled AVX512
-// tables of Table II.
+// Specs returns the five libraries of the paper's evaluation: exact
+// libraries for SSE/AVX/AVX512 (caps 7/15/31 — twice the vector length minus
+// one, as in Figures 4-6) and the stride-4 and stride-8 sampled AVX512
+// libraries of Table II.
 func Specs() []Spec {
 	return []Spec{
-		{FileName: "zz_gen_sse.go", TableVar: "TableSSE", ISA: SSE, Cap: 7, Stride: 1},
-		{FileName: "zz_gen_avx.go", TableVar: "TableAVX", ISA: AVX, Cap: 15, Stride: 1},
-		{FileName: "zz_gen_avx512.go", TableVar: "TableAVX512", ISA: AVX512, Cap: 31, Stride: 1},
-		{FileName: "zz_gen_avx512s4.go", TableVar: "TableAVX512S4", ISA: AVX512, Cap: 31, Stride: 4},
-		{FileName: "zz_gen_avx512s8.go", TableVar: "TableAVX512S8", ISA: AVX512, Cap: 31, Stride: 8},
+		{ISA: SSE, Cap: 7, Stride: 1},
+		{ISA: AVX, Cap: 15, Stride: 1},
+		{ISA: AVX512, Cap: 31, Stride: 1},
+		{ISA: AVX512, Cap: 31, Stride: 4},
+		{ISA: AVX512, Cap: 31, Stride: 8},
 	}
 }
 
-// Modelled byte weights for typical x86-64 encodings of each emitted
-// operation. These feed Table.CodeSize; see package comment.
+// StrideSpec returns the AVX512 library with the given sampling stride
+// (1, 4 or 8): the three rows of Table II.
+func StrideSpec(stride int) Spec {
+	switch stride {
+	case 1, 4, 8:
+		return Spec{ISA: AVX512, Cap: 31, Stride: stride}
+	}
+	panic(fmt.Sprintf("kernelgen: no AVX512 library with stride %d", stride))
+}
+
+// Modelled byte weights of each operation a kernel performs.
 const (
-	costBroadcast  = 6 // load an element into its dedicated local ("register")
-	costCmp        = 6 // one branchless element comparison (eqbit)
+	costBroadcast  = 6 // load an element into its dedicated register
+	costCmp        = 6 // one branchless element comparison
 	costOr         = 4
 	costScalarCmp  = 6 // compare + conditional branch
 	costCall       = 7
@@ -97,53 +93,47 @@ const (
 	costZeroKernel = 4
 )
 
-// Generate renders the Go source for one kernel table spec.
-func Generate(s Spec) ([]byte, error) {
-	g := &gen{isa: s.ISA, stride: s.Stride}
-	if s.Stride == 1 {
-		g.tag = s.ISA.Tag
-	} else {
-		g.tag = fmt.Sprintf("%ss%d", s.ISA.Tag, s.Stride)
-	}
+// shape is the structural form of one kernel of the library.
+type shape int
 
-	g.pf("// Code generated by cmd/genkernels; DO NOT EDIT.\n")
-	g.pf("// Specialized %s intersection kernels, cap %d, stride %d.\n\n", s.ISA.Tag, s.Cap, s.Stride)
-	g.pf("package kernels\n\n")
-	g.pf("import \"fesia/internal/simd\"\n\n")
-	g.pf("// %s is the %s kernel jump table (sizes 0..%d, sampling stride %d).\n",
-		s.TableVar, s.ISA.Tag, s.Cap, s.Stride)
-	g.pf("var %s = &Table{}\n\n", s.TableVar)
+// Kernel shapes, see the package comment.
+const (
+	shapeZero       shape = iota // a zero side: the shared empty kernel
+	shapeAlias                   // Sa > Sb: jump to the swapped kernel
+	shapeSmall                   // Sa ≤ Sb ≤ V, fully unrolled
+	shapeSmallLoop               // Sa ≤ V < Sb, larger side streamed
+	shapeLargeLarge              // V < Sa ≤ Sb, V-by-V plus remainder
+	shapeStrided                 // sampled sizes, guarded positions
+)
 
-	sizes := g.nominalSizes(s)
-	var entries []entry
-	for _, sa := range sizes {
-		for _, sb := range sizes {
-			entries = append(entries, g.kernel(sa, sb))
-		}
-	}
-
-	g.pf("func init() {\n")
-	g.pf("\t%s.build(%s, %d, %d, []kernelEntry{\n", s.TableVar, s.ISA.Width, s.Cap, s.Stride)
-	for _, e := range entries {
-		g.pf("\t\t{%d, %d, %s, %s, %d, %v},\n", e.sa, e.sb, e.count, e.inter, e.bytes, e.alias)
-	}
-	g.pf("\t})\n}\n")
-
-	src, err := format.Source(g.buf.Bytes())
-	if err != nil {
-		return g.buf.Bytes(), fmt.Errorf("kernelgen: generated code does not parse: %w", err)
-	}
-	return src, nil
+// Model is the modelled kernel library of one Spec: the nominal sizes it
+// has kernels for, and each kernel's shape and code bytes (the counting and
+// the materializing variant together).
+type Model struct {
+	spec    Spec
+	bits    uint    // control-code shift: bits to hold the largest nominal size
+	round   []uint8 // round[s] = nominal kernel size for true size s
+	nominal []int
 }
 
-func (g *gen) nominalSizes(s Spec) []int {
-	if s.Stride == 1 {
-		sizes := make([]int, s.Cap+1)
-		for i := range sizes {
-			sizes[i] = i
-		}
-		return sizes
+// NewModel builds the library model of s.
+func NewModel(s Spec) *Model {
+	if s.Stride < 1 {
+		panic(fmt.Sprintf("kernelgen: invalid stride %d", s.Stride))
 	}
+	m := &Model{spec: s, nominal: nominalSizes(s), round: make([]uint8, s.Cap+1)}
+	for 1<<m.bits <= m.nominal[len(m.nominal)-1] {
+		m.bits++
+	}
+	for sz := range m.round {
+		m.round[sz] = uint8((sz + s.Stride - 1) / s.Stride * s.Stride)
+	}
+	return m
+}
+
+// nominalSizes lists the sizes the library has kernels for: every size up to
+// Cap, or 0 and the multiples of Stride up to the first one ≥ Cap.
+func nominalSizes(s Spec) []int {
 	sizes := []int{0}
 	for n := s.Stride; n < s.Cap+s.Stride; n += s.Stride {
 		sizes = append(sizes, n)
@@ -151,204 +141,90 @@ func (g *gen) nominalSizes(s Spec) []int {
 	return sizes
 }
 
-type entry struct {
-	sa, sb       int
-	count, inter string // function names (or shared helpers)
-	bytes        int
-	alias        bool
-}
+// Cap returns the largest true segment size the library handles.
+func (m *Model) Cap() int { return m.spec.Cap }
 
-type gen struct {
-	buf    bytes.Buffer
-	isa    ISA
-	tag    string
-	stride int
-	cost   int // accumulates the modelled bytes of the kernel being emitted
-}
-
-func (g *gen) pf(f string, args ...interface{}) { fmt.Fprintf(&g.buf, f, args...) }
-
-// line emits one indented statement and charges its modelled cost.
-func (g *gen) line(cost int, f string, args ...interface{}) {
-	g.cost += cost
-	g.pf("\t"+f+"\n", args...)
-}
-
-func (g *gen) cname(sa, sb int) string { return fmt.Sprintf("c%s_%dx%d", g.tag, sa, sb) }
-func (g *gen) iname(sa, sb int) string { return fmt.Sprintf("i%s_%dx%d", g.tag, sa, sb) }
-
-// kernel emits the count and intersect kernels for one nominal size pair and
-// returns its table entry.
-func (g *gen) kernel(sa, sb int) entry {
+// shape returns the structural form of the kernel for nominal sizes
+// (sa, sb).
+func (m *Model) shape(sa, sb int) shape {
+	v := m.spec.ISA.V
 	switch {
 	case sa == 0 || sb == 0:
-		b := 0
-		if sa == 0 && sb == 0 {
-			b = costZeroKernel
-		}
-		return entry{sa, sb, "zeroCount", "zeroIntersect", b, true}
+		return shapeZero
 	case sa > sb:
-		// Intersection is symmetric: delegate to the swapped kernel.
-		g.pf("func %s(a, b []uint32) int { return %s(b, a) }\n\n", g.cname(sa, sb), g.cname(sb, sa))
-		g.pf("func %s(dst, a, b []uint32) int { return %s(dst, b, a) }\n\n", g.iname(sa, sb), g.iname(sb, sa))
-		return entry{sa, sb, g.cname(sa, sb), g.iname(sa, sb), 2 * costAliasThunk, true}
-	}
-
-	total := 0
-	for _, materialize := range []bool{false, true} {
-		g.cost = costPrologue
-		if g.stride == 1 {
-			g.emitExact(sa, sb, materialize)
-		} else {
-			g.emitStrided(sa, sb, materialize)
-		}
-		total += g.cost
-	}
-	return entry{sa, sb, g.cname(sa, sb), g.iname(sa, sb), total, false}
-}
-
-func (g *gen) funcHeader(sa, sb int, materialize bool, comment string) {
-	if materialize {
-		g.pf("// %s writes the intersection for %s.\n", g.iname(sa, sb), comment)
-		g.pf("func %s(dst, a, b []uint32) int {\n", g.iname(sa, sb))
-	} else {
-		g.pf("// %s counts the intersection for %s.\n", g.cname(sa, sb), comment)
-		g.pf("func %s(a, b []uint32) int {\n", g.cname(sa, sb))
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Exact kernels (stride 1): sizes are known at generation time.
-// ---------------------------------------------------------------------------
-
-func (g *gen) emitExact(sa, sb int, materialize bool) {
-	v := g.isa.V
-	switch {
+		return shapeAlias
+	case m.spec.Stride > 1:
+		return shapeStrided
 	case sb <= v:
-		g.funcHeader(sa, sb, materialize, fmt.Sprintf("exact sizes %dx%d (small-by-small)", sa, sb))
-		g.emitSmall(sa, sb, materialize)
+		return shapeSmall
 	case sa <= v:
-		g.funcHeader(sa, sb, materialize, fmt.Sprintf("exact sizes %dx%d (small-by-large)", sa, sb))
-		g.emitSmallLoop(sa, materialize)
+		return shapeSmallLoop
 	default:
-		g.funcHeader(sa, sb, materialize, fmt.Sprintf("exact sizes %dx%d (large-by-large)", sa, sb))
-		g.emitLargeLarge(sa, sb, materialize)
+		return shapeLargeLarge
 	}
-	g.pf("}\n\n")
 }
 
-// emitSmall generates the fully unrolled all-pairs kernel for
-// Sa ≤ Sb ≤ V: the Sa elements of a live in locals (the broadcast
-// registers of Fig. 2) and every element of b is compared against all of
-// them, branch-free — the same comparisons the paper's
-// broadcast/compare/OR kernel issues, one op each.
-func (g *gen) emitSmall(sa, sb int, materialize bool) {
-	for i := 0; i < sa; i++ {
-		g.line(costBroadcast, "a%d := a[%d]", i, i)
+// kernelBytes returns the modelled bytes of the kernel for nominal sizes
+// (sa, sb): both variants' prologue and body for a real kernel, one stub
+// each for an alias.
+func (m *Model) kernelBytes(sa, sb int) int {
+	eqChain := sa*costCmp + (sa-1)*costOr // one register-side comparison chain
+	// One matched element: the counting variant adds, the materializing one
+	// branches and stores.
+	perHit := 2*costInc + costScalarCmp
+	switch m.shape(sa, sb) {
+	case shapeZero:
+		if sa == 0 && sb == 0 {
+			return costZeroKernel
+		}
+		return 0
+	case shapeAlias:
+		return 2 * costAliasThunk
+	case shapeSmall:
+		return 2*(costPrologue+sa*costBroadcast+costInc+sb*eqChain) + sb*perHit
+	case shapeSmallLoop:
+		return 2*(costPrologue+sa*costBroadcast+costInc+costLoop+eqChain) + perHit
+	case shapeLargeLarge:
+		return 2 * (costPrologue + 3*costCall + costScalarCmp)
+	default: // shapeStrided
+		return 2 * (costPrologue + 2*costInc + sb*(costScalarCmp+costCall+costInc))
 	}
-	g.line(costInc, "n := 0")
-	for j := 0; j < sb; j++ {
-		expr := g.eqChain(sa, fmt.Sprintf("b[%d]", j))
-		if materialize {
-			g.line(g.eqChainCost(sa)+costScalarCmp+costInc, "if %s != 0 {", expr)
-			g.line(0, "\tdst[n] = b[%d]", j)
-			g.line(0, "\tn++")
-			g.line(0, "}")
-		} else {
-			g.line(g.eqChainCost(sa)+costInc, "n += int(%s)", expr)
+}
+
+// KernelBytes returns the modelled code size of the kernel that true sizes
+// (sa, sb) dispatch to, and its control code. It reports ok=false when the
+// pair falls through to the generic kernel.
+func (m *Model) KernelBytes(sa, sb int) (bytes, ctrl int, ok bool) {
+	if sa > m.spec.Cap || sb > m.spec.Cap {
+		return 0, 0, false
+	}
+	na, nb := int(m.round[sa]), int(m.round[sb])
+	return m.kernelBytes(na, nb), na<<m.bits | nb, true
+}
+
+// NumKernels returns the number of distinct kernel bodies: swap aliases and
+// zero-side entries, which are a jump or the shared empty kernel, are
+// excluded.
+func (m *Model) NumKernels() int {
+	n := 0
+	for _, sa := range m.nominal {
+		for _, sb := range m.nominal {
+			if s := m.shape(sa, sb); s != shapeZero && s != shapeAlias {
+				n++
+			}
 		}
 	}
-	g.line(0, "return n")
+	return n
 }
 
-// emitSmallLoop generates the small-by-large kernel (Sa ≤ V < Sb) of
-// Fig. 3 left: the Sa elements stay in locals across the whole sweep of b
-// (the register-reuse the paper highlights), while b streams through a loop
-// one register chunk at a time.
-func (g *gen) emitSmallLoop(sa int, materialize bool) {
-	for i := 0; i < sa; i++ {
-		g.line(costBroadcast, "a%d := a[%d]", i, i)
-	}
-	g.line(costInc, "n := 0")
-	g.line(costLoop, "for _, x := range b {")
-	expr := g.eqChain(sa, "x")
-	if materialize {
-		g.line(g.eqChainCost(sa)+costScalarCmp+costInc, "\tif %s != 0 {", expr)
-		g.line(0, "\t\tdst[n] = x")
-		g.line(0, "\t\tn++")
-		g.line(0, "\t}")
-	} else {
-		g.line(g.eqChainCost(sa)+costInc, "\tn += int(%s)", expr)
-	}
-	g.line(0, "}")
-	g.line(0, "return n")
-}
-
-// eqChain renders "eqbit(a0, X) | eqbit(a1, X) | ...".
-func (g *gen) eqChain(sa int, operand string) string {
-	var b bytes.Buffer
-	for i := 0; i < sa; i++ {
-		if i > 0 {
-			b.WriteString(" | ")
-		}
-		fmt.Fprintf(&b, "eqbit(a%d, %s)", i, operand)
-	}
-	return b.String()
-}
-
-func (g *gen) eqChainCost(sa int) int {
-	return sa*costCmp + (sa-1)*costOr
-}
-
-// emitLargeLarge: Fig. 3 (right). A V-by-V kernel covers the first V
-// elements of each side; comparing a[V-1] with b[V-1] proves which side's
-// tail can still match and selects the remainder kernel.
-func (g *gen) emitLargeLarge(sa, sb int, materialize bool) {
-	v := g.isa.V
-	if materialize {
-		g.line(costCall, "n := %s(dst, a, b)", g.iname(v, v))
-		g.line(costScalarCmp, "if a[%d] <= b[%d] {", v-1, v-1)
-		g.line(costCall, "\tn += %s(dst[n:], a[%d:], b)", g.iname(sa-v, sb), v)
-		g.line(0, "} else {")
-		g.line(costCall, "\tn += %s(dst[n:], b[%d:], a)", g.iname(sb-v, sa), v)
-		g.line(0, "}")
-	} else {
-		g.line(costCall, "n := %s(a, b)", g.cname(v, v))
-		g.line(costScalarCmp, "if a[%d] <= b[%d] {", v-1, v-1)
-		g.line(costCall, "\tn += %s(a[%d:], b)", g.cname(sa-v, sb), v)
-		g.line(0, "} else {")
-		g.line(costCall, "\tn += %s(b[%d:], a)", g.cname(sb-v, sa), v)
-		g.line(0, "}")
-	}
-	g.line(0, "return n")
-}
-
-// ---------------------------------------------------------------------------
-// Strided (sampled) kernels: nominal sizes bound the true sizes from above,
-// so every access must be bounds-safe. One guarded, statically-unrolled
-// block is emitted per nominal element of the larger side — static code size
-// grows with the nominal size (the Table II mechanism) — while the inner
-// sweep over the smaller side runs over the true length.
-// ---------------------------------------------------------------------------
-
-func (g *gen) emitStrided(na, nb int, materialize bool) {
-	what := fmt.Sprintf("true sizes up to %dx%d (stride-%d sampled)", na, nb, g.stride)
-	g.funcHeader(na, nb, materialize, what)
-
-	g.line(costInc, "n := 0")
-	g.line(costInc, "nb := len(b)")
-	for j := 0; j < nb; j++ {
-		if materialize {
-			g.line(costScalarCmp+costCall+costInc, "if nb > %d && scanEq(a, b[%d]) != 0 {", j, j)
-			g.line(0, "\tdst[n] = b[%d]", j)
-			g.line(0, "\tn++")
-			g.line(0, "}")
-		} else {
-			g.line(costScalarCmp+costCall, "if nb > %d {", j)
-			g.line(costInc, "\tn += int(scanEq(a, b[%d]))", j)
-			g.line(0, "}")
+// CodeSize returns the modelled machine-code footprint of the whole library
+// in bytes: the paper's Table II "code size" column.
+func (m *Model) CodeSize() int {
+	total := 0
+	for _, sa := range m.nominal {
+		for _, sb := range m.nominal {
+			total += m.kernelBytes(sa, sb)
 		}
 	}
-	g.line(0, "return n")
-	g.pf("}\n\n")
+	return total
 }

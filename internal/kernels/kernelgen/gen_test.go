@@ -1,68 +1,22 @@
 package kernelgen
 
-import (
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestSpecs(t *testing.T) {
 	specs := Specs()
 	if len(specs) != 5 {
 		t.Fatalf("Specs() = %d entries, want 5", len(specs))
 	}
-	seen := map[string]bool{}
 	for _, s := range specs {
-		if seen[s.FileName] {
-			t.Errorf("duplicate output file %s", s.FileName)
-		}
-		seen[s.FileName] = true
 		if s.Cap < 2*s.ISA.V-1 {
-			t.Errorf("%s: cap %d below 2V-1=%d", s.FileName, s.Cap, 2*s.ISA.V-1)
-		}
-	}
-}
-
-// TestGenerateParses ensures every spec generates syntactically valid Go.
-func TestGenerateParses(t *testing.T) {
-	for _, s := range Specs() {
-		src, err := Generate(s)
-		if err != nil {
-			t.Fatalf("Generate(%s): %v", s.FileName, err)
-		}
-		fset := token.NewFileSet()
-		if _, err := parser.ParseFile(fset, s.FileName, src, 0); err != nil {
-			t.Errorf("generated %s does not parse: %v", s.FileName, err)
-		}
-	}
-}
-
-// TestGeneratedFilesCurrent verifies the checked-in zz_gen_*.go files match
-// what the generator produces today, so the generator and the library cannot
-// drift apart silently.
-func TestGeneratedFilesCurrent(t *testing.T) {
-	for _, s := range Specs() {
-		want, err := Generate(s)
-		if err != nil {
-			t.Fatalf("Generate(%s): %v", s.FileName, err)
-		}
-		got, err := os.ReadFile(filepath.Join("..", s.FileName))
-		if err != nil {
-			t.Fatalf("reading checked-in %s: %v (run `go run ./cmd/genkernels`)", s.FileName, err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s is stale; run `go run ./cmd/genkernels`", s.FileName)
+			t.Errorf("%s stride %d: cap %d below 2V-1=%d", s.ISA.Tag, s.Stride, s.Cap, 2*s.ISA.V-1)
 		}
 	}
 }
 
 // TestStrideSampling checks the sampled size ladders of Section VI.
 func TestStrideSampling(t *testing.T) {
-	g := &gen{isa: AVX512, stride: 4}
-	sizes := g.nominalSizes(Spec{ISA: AVX512, Cap: 31, Stride: 4})
+	sizes := nominalSizes(StrideSpec(4))
 	want := []int{0, 4, 8, 12, 16, 20, 24, 28, 32}
 	if len(sizes) != len(want) {
 		t.Fatalf("stride-4 sizes = %v", sizes)
@@ -72,68 +26,109 @@ func TestStrideSampling(t *testing.T) {
 			t.Fatalf("stride-4 sizes = %v, want %v", sizes, want)
 		}
 	}
-	g8 := &gen{isa: AVX512, stride: 8}
-	sizes8 := g8.nominalSizes(Spec{ISA: AVX512, Cap: 31, Stride: 8})
+	sizes8 := nominalSizes(StrideSpec(8))
 	if len(sizes8) != 5 || sizes8[4] != 32 {
 		t.Fatalf("stride-8 sizes = %v", sizes8)
 	}
+	if exact := nominalSizes(Specs()[0]); len(exact) != 8 || exact[7] != 7 {
+		t.Fatalf("SSE exact sizes = %v, want 0..7", exact)
+	}
 }
 
-// TestKernelShapeSelection pins the generated kernel shapes against the
-// paper's Section V-C structure: small-by-small kernels are fully unrolled
-// with the smaller set held in locals; small-by-large kernels hoist the
-// locals and stream the larger set (Fig. 3 left, register reuse); 6x6
+// TestKernelShapeSelection pins the kernel shapes against the paper's
+// Section V-C structure, and each shape's cost against its operations:
+// small-by-small kernels unroll all pairs; small-by-large kernels hoist the
+// smaller side and stream the larger one (Fig. 3 left); 6x6 at SSE width
 // decomposes into 4x4 plus a runtime-selected remainder (Fig. 3 right);
-// swapped sizes delegate to their mirror kernel.
+// swapped sizes delegate to their mirror kernel; strided kernels guard one
+// position per nominal element of the larger side.
 func TestKernelShapeSelection(t *testing.T) {
-	src, err := Generate(Specs()[0]) // SSE
-	if err != nil {
-		t.Fatal(err)
+	sse := NewModel(Specs()[0])
+	cases := []struct {
+		sa, sb int
+		shape  shape
+		bytes  int
+	}{
+		{0, 0, shapeZero, costZeroKernel},
+		{0, 3, shapeZero, 0},
+		{7, 2, shapeAlias, 2 * costAliasThunk},
+		// 2 broadcasts, then per b element a 2-compare chain; the
+		// materializing variant adds a branch and a store per element.
+		{2, 3, shapeSmall, 2*(costPrologue+2*costBroadcast+costInc+3*(2*costCmp+costOr)) +
+			3*(2*costInc+costScalarCmp)},
+		{2, 7, shapeSmallLoop, 2*(costPrologue+2*costBroadcast+costInc+costLoop+2*costCmp+costOr) +
+			2*costInc + costScalarCmp},
+		{6, 6, shapeLargeLarge, 2 * (costPrologue + 3*costCall + costScalarCmp)},
 	}
-	text := string(src)
-	k2x3 := extractFunc(t, text, "func cSSE_2x3")
-	if !strings.Contains(k2x3, "a0 := a[0]") || !strings.Contains(k2x3, "eqbit(a0, b[2]) | eqbit(a1, b[2])") {
-		t.Errorf("2x3 should be a fully unrolled all-pairs kernel:\n%s", k2x3)
+	for _, c := range cases {
+		if got := sse.shape(c.sa, c.sb); got != c.shape {
+			t.Errorf("SSE %dx%d shape = %d, want %d", c.sa, c.sb, got, c.shape)
+		}
+		if got, _, _ := sse.KernelBytes(c.sa, c.sb); got != c.bytes {
+			t.Errorf("SSE %dx%d bytes = %d, want %d", c.sa, c.sb, got, c.bytes)
+		}
 	}
-	if strings.Contains(k2x3, "for ") {
-		t.Errorf("2x3 must be straight-line (no loops):\n%s", k2x3)
+	s4 := NewModel(StrideSpec(4))
+	if got := s4.shape(8, 16); got != shapeStrided {
+		t.Errorf("stride-4 8x16 shape = %d, want strided", got)
 	}
-	k2x7 := extractFunc(t, text, "func cSSE_2x7")
-	if !strings.Contains(k2x7, "a1 := a[1]") || !strings.Contains(k2x7, "for _, x := range b") {
-		t.Errorf("2x7 should hoist A's elements and stream B:\n%s", k2x7)
-	}
-	k6x6 := extractFunc(t, text, "func cSSE_6x6")
-	if !strings.Contains(k6x6, "cSSE_4x4(a, b)") ||
-		!strings.Contains(k6x6, "if a[3] <= b[3]") ||
-		!strings.Contains(k6x6, "cSSE_2x6(a[4:], b)") ||
-		!strings.Contains(k6x6, "cSSE_2x6(b[4:], a)") {
-		t.Errorf("6x6 should decompose per Fig. 3 right:\n%s", k6x6)
-	}
-	// Swap aliases delegate with arguments exchanged.
-	k7x2 := extractFunc(t, text, "func cSSE_7x2")
-	if !strings.Contains(k7x2, "cSSE_2x7(b, a)") {
-		t.Errorf("7x2 should delegate to 2x7 swapped:\n%s", k7x2)
-	}
-	// Strided kernels are guard-unrolled over the nominal larger side.
-	s4, err := Generate(Specs()[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	k8x16 := extractFunc(t, string(s4), "func cA512s4_8x16")
-	if !strings.Contains(k8x16, "if nb > 15 {") || !strings.Contains(k8x16, "scanEq(a, b[15])") {
-		t.Errorf("strided 8x16 should guard-unroll 16 nominal positions:\n%s", k8x16)
+	if got, _, _ := s4.KernelBytes(8, 16); got != 2*(costPrologue+2*costInc+16*(costScalarCmp+costCall+costInc)) {
+		t.Errorf("stride-4 8x16 bytes = %d: want 16 guarded positions per variant", got)
 	}
 }
 
-func extractFunc(t *testing.T, src, header string) string {
-	t.Helper()
-	i := strings.Index(src, header)
-	if i < 0 {
-		t.Fatalf("missing %q in generated source", header)
+// TestKernelBytes checks the Listing 2 control code and the stride rounding.
+func TestKernelBytes(t *testing.T) {
+	sse := NewModel(Specs()[0])
+	b, ctrl, ok := sse.KernelBytes(2, 3)
+	if !ok || b <= 0 {
+		t.Fatalf("KernelBytes(2,3) = %d, ok=%v", b, ok)
 	}
-	j := strings.Index(src[i:], "\n}\n")
-	if j < 0 {
-		t.Fatalf("unterminated %q", header)
+	if ctrl != 2<<3|3 {
+		t.Errorf("ctrl = %d, want %d (Listing 2 encoding)", ctrl, 2<<3|3)
 	}
-	return src[i : i+j]
+	if _, _, ok := sse.KernelBytes(8, 3); ok {
+		t.Error("KernelBytes beyond cap should report ok=false")
+	}
+	// Strided libraries round up: sizes 1..4 share the stride-4 nominal kernel.
+	s4 := NewModel(StrideSpec(4))
+	b1, c1, _ := s4.KernelBytes(1, 1)
+	b4, c4, _ := s4.KernelBytes(4, 4)
+	if c1 != c4 || b1 != b4 {
+		t.Errorf("stride-4 rounding: (1,1)->ctrl %d bytes %d, (4,4)->ctrl %d bytes %d", c1, b1, c4, b4)
+	}
+}
+
+// TestModelMonotone: sampling shrinks the library, by about the ~90% and
+// ~98% Table II reports for strides 4 and 8.
+func TestModelMonotone(t *testing.T) {
+	full, s4, s8 := NewModel(StrideSpec(1)), NewModel(StrideSpec(4)), NewModel(StrideSpec(8))
+	if !(full.CodeSize() > s4.CodeSize() && s4.CodeSize() > s8.CodeSize()) {
+		t.Errorf("code sizes not monotone: full=%d s4=%d s8=%d",
+			full.CodeSize(), s4.CodeSize(), s8.CodeSize())
+	}
+	if !(full.NumKernels() > s4.NumKernels() && s4.NumKernels() > s8.NumKernels()) {
+		t.Errorf("kernel counts not monotone: full=%d s4=%d s8=%d",
+			full.NumKernels(), s4.NumKernels(), s8.NumKernels())
+	}
+	r4 := 1 - float64(s4.CodeSize())/float64(full.CodeSize())
+	r8 := 1 - float64(s8.CodeSize())/float64(full.CodeSize())
+	if r4 < 0.80 || r8 < 0.95 {
+		t.Errorf("stride reductions too small: r4=%.2f r8=%.2f", r4, r8)
+	}
+	// Table II's code-size column, as printed in experiments_full.txt.
+	for _, c := range []struct{ stride, bytes int }{{1, 309892}, {4, 27572}, {8, 8060}} {
+		if got := NewModel(StrideSpec(c.stride)).CodeSize(); got != c.bytes {
+			t.Errorf("stride-%d code size = %d, want %d", c.stride, got, c.bytes)
+		}
+	}
+}
+
+func TestStrideSpecPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("StrideSpec(3) should panic")
+		}
+	}()
+	StrideSpec(3)
 }

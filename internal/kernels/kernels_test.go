@@ -2,11 +2,10 @@ package kernels
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"fesia/internal/simd"
 )
 
 // randomSortedSet returns n distinct sorted uint32 values drawn from
@@ -29,19 +28,11 @@ func randomSortedSet(rng *rand.Rand, n int, universe uint32) []uint32 {
 }
 
 // overlappingPair returns two sorted distinct sets of sizes na and nb that
-// share roughly `share` elements, to exercise both hit and miss lanes.
+// share at least `share` elements (capped at the smaller size), to exercise
+// both hit and miss lanes.
 func overlappingPair(rng *rand.Rand, na, nb, share int, universe uint32) (a, b []uint32) {
-	if share > na {
-		share = na
-	}
-	if share > nb {
-		share = nb
-	}
+	share = min(share, na, nb)
 	common := randomSortedSet(rng, share, universe)
-	inCommon := make(map[uint32]bool, share)
-	for _, v := range common {
-		inCommon[v] = true
-	}
 	fill := func(n int) []uint32 {
 		s := append([]uint32(nil), common...)
 		seen := make(map[uint32]bool, n)
@@ -58,11 +49,43 @@ func overlappingPair(rng *rand.Rand, na, nb, share int, universe uint32) (a, b [
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 		return s
 	}
-	a, b = fill(na), fill(nb)
-	// The two fills may have accidentally created extra overlap; that is
-	// fine — GenericCount defines ground truth.
-	_ = inCommon
-	return a, b
+	return fill(na), fill(nb)
+}
+
+// mapIntersect is the reference: the ascending elements of a found in b,
+// computed through a hash set.
+func mapIntersect(a, b []uint32) []uint32 {
+	in := make(map[uint32]bool, len(b))
+	for _, v := range b {
+		in[v] = true
+	}
+	out := []uint32{}
+	for _, v := range a {
+		if in[v] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkKernel runs Count, Intersect (into an exactly sized buffer) and Visit
+// on one pair and compares each with the map reference.
+func checkKernel(t *testing.T, a, b []uint32) {
+	t.Helper()
+	want := mapIntersect(a, b)
+	if got := Count(a, b); got != len(want) {
+		t.Fatalf("Count(%dx%d) = %d, want %d\na=%v\nb=%v", len(a), len(b), got, len(want), a, b)
+	}
+	dst := make([]uint32, min(len(a), len(b)))
+	n := Intersect(dst, a, b)
+	if !slices.Equal(dst[:n], want) {
+		t.Fatalf("Intersect(%dx%d) = %v, want %v\na=%v\nb=%v", len(a), len(b), dst[:n], want, a, b)
+	}
+	got := []uint32{}
+	Visit(a, b, func(v uint32) { got = append(got, v) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("Visit(%dx%d) = %v, want %v\na=%v\nb=%v", len(a), len(b), got, want, a, b)
+	}
 }
 
 func TestGenericCountAndIntersect(t *testing.T) {
@@ -81,200 +104,82 @@ func TestGenericCountAndIntersect(t *testing.T) {
 	}
 }
 
-// TestAllTablesExhaustive checks every kernel in every table against the
-// scalar generic kernel, over every size pair up to the table cap, with
-// random overlapping inputs. This covers all generated bodies, swap aliases,
-// zero kernels, and the strided dispatch rounding.
-func TestAllTablesExhaustive(t *testing.T) {
+// TestSegmentKernelExhaustive checks Count, Intersect and Visit against the
+// map reference for every size pair 0..20 on each side — both sides of the
+// SmallMax cutover — with collision-heavy, mixed and miss-heavy inputs.
+func TestSegmentKernelExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, tbl := range Tables() {
-		tbl := tbl
-		name := tbl.Width().String()
-		if tbl.Stride() > 1 {
-			name += "-stride" + string(rune('0'+tbl.Stride()))
-		}
-		t.Run(name, func(t *testing.T) {
-			for sa := 0; sa <= tbl.Cap(); sa++ {
-				for sb := 0; sb <= tbl.Cap(); sb++ {
-					for trial := 0; trial < 3; trial++ {
-						// Small universes force collisions; large ones force misses.
-						universe := uint32(1) << uint(4+trial*10)
-						if universe < uint32(sa+sb+1) {
-							universe = uint32(sa + sb + 1)
-						}
-						a, b := overlappingPair(rng, sa, sb, trial*min(sa, sb)/2, universe)
-						want := GenericCount(a, b)
-						if got := tbl.Count(a, b); got != want {
-							t.Fatalf("%s Count(%dx%d trial %d) = %d, want %d\na=%v\nb=%v",
-								name, sa, sb, trial, got, want, a, b)
-						}
-						dst := make([]uint32, min(sa, sb)+1)
-						n := tbl.Intersect(dst, a, b)
-						if n != want {
-							t.Fatalf("%s Intersect(%dx%d) count = %d, want %d", name, sa, sb, n, want)
-						}
-						wantSet := make([]uint32, want)
-						GenericIntersect(wantSet, a, b)
-						got := append([]uint32(nil), dst[:n]...)
-						sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-						for i := range wantSet {
-							if got[i] != wantSet[i] {
-								t.Fatalf("%s Intersect(%dx%d) values = %v, want %v", name, sa, sb, got, wantSet)
-							}
-						}
-					}
-				}
+	for sa := 0; sa <= 20; sa++ {
+		for sb := 0; sb <= 20; sb++ {
+			for trial := 0; trial < 3; trial++ {
+				// Small universes force collisions; large ones force misses.
+				universe := max(uint32(1)<<uint(4+trial*10), uint32(sa+sb+1))
+				a, b := overlappingPair(rng, sa, sb, trial*min(sa, sb)/2, universe)
+				checkKernel(t, a, b)
 			}
-		})
+		}
 	}
 }
 
-// TestIntersectOutputSorted verifies the documented ordering contract: exact
-// kernels emit matches in ascending order.
+// TestIntersectOutputSorted verifies the documented ordering contract:
+// matches come out in ascending order whichever side is shorter.
 func TestIntersectOutputSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, tbl := range []*Table{TableSSE, TableAVX, TableAVX512} {
-		for trial := 0; trial < 200; trial++ {
-			sa := rng.Intn(tbl.Cap() + 1)
-			sb := rng.Intn(tbl.Cap() + 1)
-			a, b := overlappingPair(rng, sa, sb, min(sa, sb), 64)
-			dst := make([]uint32, min(sa, sb)+1)
-			n := tbl.Intersect(dst, a, b)
-			for i := 1; i < n; i++ {
-				if dst[i-1] >= dst[i] {
-					t.Fatalf("%v Intersect(%dx%d) output not ascending: %v", tbl.Width(), sa, sb, dst[:n])
-				}
+	for trial := 0; trial < 600; trial++ {
+		sa := rng.Intn(SmallMax + 1)
+		sb := rng.Intn(SmallMax + 1)
+		a, b := overlappingPair(rng, sa, sb, min(sa, sb), 64)
+		dst := make([]uint32, min(sa, sb))
+		n := Intersect(dst, a, b)
+		for i := 1; i < n; i++ {
+			if dst[i-1] >= dst[i] {
+				t.Fatalf("Intersect(%dx%d) output not ascending: %v", sa, sb, dst[:n])
 			}
 		}
 	}
 }
 
-// TestOverCapFallback: sizes beyond the table cap must route to the generic
-// kernel and stay correct.
+// TestOverCapFallback: a side beyond SmallMax routes to the merge and stays
+// correct, whether the other side is small or large.
 func TestOverCapFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, tbl := range Tables() {
-		a, b := overlappingPair(rng, tbl.Cap()+5, tbl.Cap()+9, 6, 512)
-		want := GenericCount(a, b)
-		if got := tbl.Count(a, b); got != want {
-			t.Errorf("%v over-cap Count = %d, want %d", tbl.Width(), got, want)
-		}
-		dst := make([]uint32, tbl.Cap()+6)
-		if got := tbl.Intersect(dst, a, b); got != want {
-			t.Errorf("%v over-cap Intersect = %d, want %d", tbl.Width(), got, want)
-		}
+	for _, sz := range [][2]int{{SmallMax + 5, SmallMax + 9}, {3, SmallMax + 1}, {SmallMax + 1, 0}} {
+		a, b := overlappingPair(rng, sz[0], sz[1], 6, 512)
+		checkKernel(t, a, b)
 	}
 }
 
-func TestGeneralKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, w := range []simd.Width{simd.WidthSSE, simd.WidthAVX, simd.WidthAVX512} {
-		for trial := 0; trial < 300; trial++ {
-			sa := rng.Intn(2*w.Lanes() + 1)
-			sb := rng.Intn(2*w.Lanes() + 1)
-			a, b := overlappingPair(rng, sa, sb, rng.Intn(min(sa, sb)+1), 128)
-			want := GenericCount(a, b)
-			if got := GeneralCount(w, a, b); got != want {
-				t.Fatalf("GeneralCount(%v, %dx%d) = %d, want %d\na=%v\nb=%v", w, sa, sb, got, want, a, b)
-			}
-		}
+// TestIntersectShortDst: a destination shorter than the shorter side but
+// long enough for the matches (the tail of an exactly sized result buffer)
+// must neither overflow nor lose matches.
+func TestIntersectShortDst(t *testing.T) {
+	a := []uint32{2, 4, 6, 8}
+	b := []uint32{1, 4, 8, 9, 11}
+	dst := make([]uint32, 2)
+	if n := Intersect(dst, a, b); n != 2 || dst[0] != 4 || dst[1] != 8 {
+		t.Fatalf("Intersect into 2-slot dst = %v (n=%d), want [4 8]", dst[:n], n)
+	}
+	if n := Intersect(nil, []uint32{1, 2}, []uint32{3, 5}); n != 0 {
+		t.Fatalf("Intersect of disjoint lists into nil dst = %d, want 0", n)
 	}
 }
 
-// Property test: for arbitrary random sets within cap, every table agrees
-// with scalar ground truth.
-func TestTablesQuick(t *testing.T) {
+// TestSegmentKernelQuick is the property form of the exhaustive test: Count
+// agrees with the merge on arbitrary sizes up to twice the cutover.
+func TestSegmentKernelQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := func(seedA, seedB uint32) bool {
 		sa := int(seedA % 32)
 		sb := int(seedB % 32)
 		a, b := overlappingPair(rng, sa, sb, int(seedA%8), 256)
-		want := GenericCount(a, b)
-		for _, tbl := range Tables() {
-			if sa > tbl.Cap() || sb > tbl.Cap() {
-				continue
-			}
-			if tbl.Count(a, b) != want {
-				return false
-			}
-		}
-		return true
+		return Count(a, b) == GenericCount(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestTableMetadata(t *testing.T) {
-	full := ForStride(1)
-	s4 := ForStride(4)
-	s8 := ForStride(8)
-	if !(full.CodeSize() > s4.CodeSize() && s4.CodeSize() > s8.CodeSize()) {
-		t.Errorf("code sizes not monotone: full=%d s4=%d s8=%d",
-			full.CodeSize(), s4.CodeSize(), s8.CodeSize())
-	}
-	if !(full.NumKernels() > s4.NumKernels() && s4.NumKernels() > s8.NumKernels()) {
-		t.Errorf("kernel counts not monotone: full=%d s4=%d s8=%d",
-			full.NumKernels(), s4.NumKernels(), s8.NumKernels())
-	}
-	// Table II reports ~90% and ~98% code-size reduction for strides 4 and 8.
-	r4 := 1 - float64(s4.CodeSize())/float64(full.CodeSize())
-	r8 := 1 - float64(s8.CodeSize())/float64(full.CodeSize())
-	if r4 < 0.80 || r8 < 0.95 {
-		t.Errorf("stride reductions too small: r4=%.2f r8=%.2f", r4, r8)
-	}
-}
-
-func TestKernelBytes(t *testing.T) {
-	tbl := TableSSE
-	b, ctrl, ok := tbl.KernelBytes(2, 3)
-	if !ok || b <= 0 {
-		t.Fatalf("KernelBytes(2,3) = %d, ok=%v", b, ok)
-	}
-	if ctrl != 2<<3|3 {
-		t.Errorf("ctrl = %d, want %d (Listing 2 encoding)", ctrl, 2<<3|3)
-	}
-	if _, _, ok := tbl.KernelBytes(8, 3); ok {
-		t.Error("KernelBytes beyond cap should report ok=false")
-	}
-	// Strided tables round up: sizes 1..4 share the stride-4 nominal kernel.
-	s4 := ForStride(4)
-	b1, c1, _ := s4.KernelBytes(1, 1)
-	b4, c4, _ := s4.KernelBytes(4, 4)
-	if c1 != c4 || b1 != b4 {
-		t.Errorf("stride-4 rounding: (1,1)->ctrl %d bytes %d, (4,4)->ctrl %d bytes %d", c1, b1, c4, b4)
-	}
-}
-
-func TestForWidth(t *testing.T) {
-	if ForWidth(simd.WidthSSE) != TableSSE ||
-		ForWidth(simd.WidthAVX) != TableAVX ||
-		ForWidth(simd.WidthAVX512) != TableAVX512 {
-		t.Error("ForWidth returned wrong table")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ForWidth(0) should panic")
-		}
-	}()
-	ForWidth(0)
-}
-
-func TestForStridePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ForStride(3) should panic")
-		}
-	}()
-	ForStride(3)
-}
-
 func TestHelpers(t *testing.T) {
-	dst := make([]uint32, 4)
-	src := []uint32{10, 20, 30, 40}
-	if zeroCount(src, src) != 0 || zeroIntersect(dst, src, src) != 0 {
-		t.Error("zero kernels must return 0")
-	}
 	// eqbit is branch-free equality over the full uint32 domain.
 	cases := []struct {
 		x, y uint32
@@ -287,9 +192,6 @@ func TestHelpers(t *testing.T) {
 		if got := eqbit(c.x, c.y); got != c.want {
 			t.Errorf("eqbit(%#x, %#x) = %d, want %d", c.x, c.y, got, c.want)
 		}
-	}
-	if scanEq(src, 30) != 1 || scanEq(src, 31) != 0 || scanEq(nil, 5) != 0 {
-		t.Error("scanEq wrong")
 	}
 }
 

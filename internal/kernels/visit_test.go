@@ -6,26 +6,21 @@ import (
 	"testing"
 )
 
-// TestVisitMatchesIntersect checks the streaming entry points against the
-// materializing ones: Table.Visit must emit exactly what Table.Intersect
-// writes, in the same order, across every table (width/stride) including the
-// over-capacity generic fallback.
+// TestVisitMatchesIntersect checks the streaming entry point against the
+// materializing one: Visit must emit exactly what Intersect writes, in the
+// same order, on both sides of the SmallMax cutover.
 func TestVisitMatchesIntersect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, tbl := range Tables() {
-		sizes := []int{0, 1, 2, tbl.Cap() / 2, tbl.Cap(), tbl.Cap() + 5}
-		scratch := make([]uint32, tbl.Cap())
-		for _, sa := range sizes {
-			for _, sb := range sizes {
-				a, b := overlappingPair(rng, sa, sb, min(sa, sb)/2, 1<<10)
-				dst := make([]uint32, min(sa, sb)+1)
-				n := tbl.Intersect(dst, a, b)
-				var got []uint32
-				tbl.Visit(scratch, a, b, func(v uint32) { got = append(got, v) })
-				if !slices.Equal(got, dst[:n]) {
-					t.Fatalf("%s Visit(%dx%d) emitted %v, Intersect wrote %v",
-						tbl.Width(), sa, sb, got, dst[:n])
-				}
+	sizes := []int{0, 1, 2, SmallMax / 2, SmallMax, SmallMax + 5}
+	for _, sa := range sizes {
+		for _, sb := range sizes {
+			a, b := overlappingPair(rng, sa, sb, min(sa, sb)/2, 1<<10)
+			dst := make([]uint32, min(sa, sb))
+			n := Intersect(dst, a, b)
+			var got []uint32
+			Visit(a, b, func(v uint32) { got = append(got, v) })
+			if !slices.Equal(got, dst[:n]) {
+				t.Fatalf("Visit(%dx%d) emitted %v, Intersect wrote %v", sa, sb, got, dst[:n])
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 var sinkInt int
 var sinkU32 uint32
-var sinkVec8 Vec8
 
 func BenchmarkAndWords(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -48,22 +47,5 @@ func BenchmarkSegmentMask8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkU32 |= SegmentMask8(words[i%1024])
-	}
-}
-
-func BenchmarkCmpEq8MoveMask(b *testing.B) {
-	x := Vec8{1, 2, 3, 4, 5, 6, 7, 8}
-	y := Broadcast8(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkU32 |= MoveMask8(CmpEq8(x, y))
-	}
-}
-
-func BenchmarkBroadcastOr16(b *testing.B) {
-	x := Broadcast16(7)
-	for i := 0; i < b.N; i++ {
-		v := Or16(x, Broadcast16(uint32(i)))
-		sinkU32 |= v[0]
 	}
 }

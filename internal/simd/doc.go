@@ -1,5 +1,5 @@
 // Package simd provides the data-parallel primitives of the FESIA
-// implementation, in three layers.
+// implementation.
 //
 // Word-level bitmap operations (AndWords and friends) carry the
 // bitmap-level filtering step: a 64-bit word AND is genuine data-parallel
@@ -9,18 +9,13 @@
 // for x86 TZCNT/POPCNT) implement the non-zero segment extraction of the
 // paper's Section IV.
 //
-// The vector register types model the ISAs the paper targets:
+// On amd64 an assembly backend climbs an ISA ladder (scalar → AVX2 →
+// AVX-512) chosen once at start-up from cpuid: the fused filter
+// (AndSegMasks), the list probe (Contains), the gathered hash probe
+// (ProbeStage) and the size-specialized small kernels CountSmall and
+// IntersectSmall, the hardware form of the paper's Fig. 2 broadcast/compare
+// stream. Every routine has a pure-Go reference it must match bit for bit;
+// the noasm build tag and other architectures use only those references.
 //
-//	Vec4  — four 32-bit lanes, models an SSE xmm register
-//	Vec8  — eight 32-bit lanes, models an AVX ymm register
-//	Vec16 — sixteen 32-bit lanes, models an AVX512 zmm register
-//
-// with the paper's operation vocabulary: aligned/partial loads, lane
-// broadcasts, lane-wise equality compares (branchless), bitwise OR/AND, and
-// movemask. Go has no intrinsics, so these ops cost ~V scalar instructions
-// rather than one; production kernels therefore execute the equivalent
-// comparison stream in scalar form (see internal/kernels/kernelgen), and
-// the vector model serves as their executable specification — the kernel
-// test suite cross-validates every in-register kernel against Fig. 2
-// expressed in these ops.
+// Width names the ISA register widths of the paper (SSE, AVX, AVX512).
 package simd

@@ -150,8 +150,7 @@ func segMaskWord32(w uint64) uint32 {
 // register (≤ 8 lanes): the shorter side is masked-loaded once, every element
 // of the longer side is broadcast against it, and matches accumulate as
 // VPSUBD of the compare masks — the Lemire intersection idiom. Falls back to
-// a scalar merge otherwise. The specialized jump tables in internal/kernels
-// route their small-size entries here when the backend is active.
+// a scalar merge otherwise.
 func CountSmall(a, b []uint32) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
@@ -170,8 +169,7 @@ func CountSmall(a, b []uint32) int {
 // broadcast-compared against it, and one VPCOMPRESSD stores the matching
 // lanes contiguously in order — the compress-store materialize path the AVX2
 // rung lacks (it can only count). Falls back to a scalar merge on the lower
-// rungs. The specialized jump tables in internal/kernels route their
-// intersect entries here when the top rung is active.
+// rungs.
 func IntersectSmall(dst, a, b []uint32) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0

@@ -35,109 +35,6 @@ func TestWidthLanes(t *testing.T) {
 	}
 }
 
-func TestLoadBroadcast4(t *testing.T) {
-	p := []uint32{10, 20, 30, 40, 50}
-	v := Load4(p)
-	if v != (Vec4{10, 20, 30, 40}) {
-		t.Errorf("Load4 = %v", v)
-	}
-	b := Broadcast4(7)
-	if b != (Vec4{7, 7, 7, 7}) {
-		t.Errorf("Broadcast4 = %v", b)
-	}
-}
-
-func TestLoadPartial(t *testing.T) {
-	const s = ^uint32(0)
-	if got := LoadPartial4([]uint32{1, 2}, s); got != (Vec4{1, 2, s, s}) {
-		t.Errorf("LoadPartial4 = %v", got)
-	}
-	if got := LoadPartial4(nil, s); got != (Vec4{s, s, s, s}) {
-		t.Errorf("LoadPartial4(nil) = %v", got)
-	}
-	// Longer-than-register input is truncated, not overflowed.
-	if got := LoadPartial4([]uint32{1, 2, 3, 4, 5}, s); got != (Vec4{1, 2, 3, 4}) {
-		t.Errorf("LoadPartial4(long) = %v", got)
-	}
-	v8 := LoadPartial8([]uint32{1, 2, 3}, s)
-	want8 := Vec8{1, 2, 3, s, s, s, s, s}
-	if v8 != want8 {
-		t.Errorf("LoadPartial8 = %v, want %v", v8, want8)
-	}
-	v16 := LoadPartial16([]uint32{9}, s)
-	if v16[0] != 9 || v16[1] != s || v16[15] != s {
-		t.Errorf("LoadPartial16 = %v", v16)
-	}
-}
-
-func TestCmpEqMoveMask4(t *testing.T) {
-	a := Vec4{1, 2, 3, 4}
-	b := Vec4{1, 9, 3, 9}
-	c := CmpEq4(a, b)
-	if c != (Vec4{^uint32(0), 0, ^uint32(0), 0}) {
-		t.Errorf("CmpEq4 = %v", c)
-	}
-	if m := MoveMask4(c); m != 0b0101 {
-		t.Errorf("MoveMask4 = %b, want 0101", m)
-	}
-}
-
-func TestOrAnd4(t *testing.T) {
-	a := Vec4{0xF0, 0x0F, 0xFF, 0}
-	b := Vec4{0x0F, 0x0F, 0x00, 0}
-	if got := Or4(a, b); got != (Vec4{0xFF, 0x0F, 0xFF, 0}) {
-		t.Errorf("Or4 = %v", got)
-	}
-	if got := And4(a, b); got != (Vec4{0, 0x0F, 0, 0}) {
-		t.Errorf("And4 = %v", got)
-	}
-}
-
-func TestVec8Ops(t *testing.T) {
-	p := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-	v := Load8(p)
-	if v != (Vec8{1, 2, 3, 4, 5, 6, 7, 8}) {
-		t.Errorf("Load8 = %v", v)
-	}
-	b := Broadcast8(5)
-	c := CmpEq8(v, b)
-	if m := MoveMask8(c); m != 1<<4 {
-		t.Errorf("MoveMask8(CmpEq8) = %b, want bit 4", m)
-	}
-	o := Or8(c, CmpEq8(v, Broadcast8(1)))
-	if m := MoveMask8(o); m != 1<<4|1 {
-		t.Errorf("MoveMask8(or) = %b", m)
-	}
-	if got := And8(v, Broadcast8(1)); got[0] != 1 || got[1] != 0 {
-		t.Errorf("And8 = %v", got)
-	}
-}
-
-func TestVec16Ops(t *testing.T) {
-	p := make([]uint32, 16)
-	for i := range p {
-		p[i] = uint32(i * 3)
-	}
-	v := Load16(p)
-	for i := range p {
-		if v[i] != p[i] {
-			t.Fatalf("Load16[%d] = %d", i, v[i])
-		}
-	}
-	c := CmpEq16(v, Broadcast16(9))
-	if m := MoveMask16(c); m != 1<<3 {
-		t.Errorf("MoveMask16 = %b, want bit 3", m)
-	}
-	o := Or16(c, CmpEq16(v, Broadcast16(45)))
-	if m := MoveMask16(o); m != 1<<3|1<<15 {
-		t.Errorf("MoveMask16(or) = %b", m)
-	}
-	a := And16(Broadcast16(0xF0), Broadcast16(0x1F))
-	if a[7] != 0x10 {
-		t.Errorf("And16 = %v", a)
-	}
-}
-
 func TestScalarBitUtils(t *testing.T) {
 	if Tzcnt32(0) != 32 || Tzcnt32(8) != 3 || Tzcnt32(1) != 0 {
 		t.Error("Tzcnt32 wrong")
@@ -153,24 +50,6 @@ func TestScalarBitUtils(t *testing.T) {
 	}
 	if ClearLowestSet64(0b1010) != 0b1000 {
 		t.Error("ClearLowestSet64 wrong")
-	}
-}
-
-// Property: MoveMask composed with CmpEq finds exactly the equal lanes.
-func TestCmpEqProperty(t *testing.T) {
-	f := func(a, b Vec8) bool {
-		m := MoveMask8(CmpEq8(a, b))
-		for i := 0; i < 8; i++ {
-			want := a[i] == b[i]
-			got := m&(1<<uint(i)) != 0
-			if want != got {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

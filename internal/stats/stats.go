@@ -228,8 +228,8 @@ func (h LatHist) Name() string { return latNames[h] }
 const LatBuckets = 40
 
 // KernelDim bounds the kernel-dispatch histogram: segment sizes 0..KernelDim-2
-// are recorded exactly (the generated kernel tables cap at 31, Table II), and
-// KernelDim-1 aggregates every larger size (generic-kernel territory).
+// are recorded exactly (the paper's AVX512 kernel library caps at 31,
+// Table II), and KernelDim-1 aggregates every larger size.
 const KernelDim = 34
 
 // KernelSampleRate is the query-level sampling rate of the kernel-dispatch
