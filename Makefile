@@ -114,17 +114,22 @@ ablation:
 	$(GO) test -bench=Ablation -benchmem .
 
 # Short differential fuzzing session for the intersection strategies (both
-# segmented-only and the cross-representation dispatch matrix), the snapshot
-# deserializers, and the ISA-ladder parity targets (every tier vs pure Go,
-# including forced-AVX2 on AVX-512 hardware).
+# segmented-only and the cross-representation dispatch matrix), the batch
+# engine and visitor paths, the snapshot deserializers, and the ISA-ladder
+# parity targets (every tier vs pure Go, including forced-AVX2 on AVX-512
+# hardware). Every Fuzz* target in the repository is listed here.
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzIntersect -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzHybridIntersect -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadSet -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadCorpus -fuzztime=30s
+	$(GO) test ./internal/core -fuzz=FuzzCountMany -fuzztime=30s
+	$(GO) test ./internal/core -fuzz=FuzzVisitParity -fuzztime=30s
 	$(GO) test ./internal/kernels -fuzz=FuzzSegmentKernel -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzIntersectSmallParity -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzProbeStageParity -fuzztime=30s
+	$(GO) test ./internal/simd -fuzz=FuzzAndSegMasksParity -fuzztime=30s
+	$(GO) test ./internal/simd -fuzz=FuzzCountSmallParity -fuzztime=30s
 
 # CI-sized fuzz smoke: every fuzz target for 30s each (same set as `fuzz`;
 # kept as a separate name so CI and local long runs can diverge later).

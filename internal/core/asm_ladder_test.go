@@ -98,7 +98,7 @@ func TestExecutorTierParity(t *testing.T) {
 			})
 			check("Intersect", names, res)
 			names, res = runTiers(t, func() any {
-				n := IntersectHash(dst, a, b)
+				n := intersectHash(dst, a, b)
 				return append([]uint32(nil), dst[:n]...)
 			})
 			check("IntersectHash", names, res)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"fesia/internal/kernels"
+	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -39,18 +41,11 @@ type stagedSeg struct {
 // so one touch per side covers essentially the whole segment.
 const stageReadAhead = 8
 
-// stageSegPairs runs dispatch pass 1: the fused word-AND / segment-extraction
-// loop of countMergeRange, staging records instead of calling kernels. x must
-// be the larger-bitmap set. Records are appended to recs (reset by the
-// caller); the possibly-grown slice is returned.
+// stageSegPairs runs dispatch pass 1: mergeRange's fused word-AND /
+// segment-extraction loop over the whole bitmap, staging records instead of
+// calling kernels. x must be the larger-bitmap set. Records are appended to
+// recs (reset by the caller); the possibly-grown slice is returned.
 func stageSegPairs(x, y *Set, recs []stagedSeg) []stagedSeg {
-	return stageSegPairsRange(x, y, recs, 0, len(x.bm.Words()))
-}
-
-// stageSegPairsRange is stageSegPairs restricted to words [wordLo, wordHi) of
-// x's bitmap — the checkpoint unit of the context-aware paths (ctx.go), which
-// stage one word block at a time so cancellation is honored between blocks.
-func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
 	xw, yw := x.bm.Words(), y.bm.Words()
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
@@ -58,57 +53,35 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 	segMaskY := y.bm.NumSegments() - 1
 	xo, yo := x.offsets, y.offsets
 
+	if simd.AsmActive() && len(yw) >= simd.BlockWords && len(xw) >= 2*simd.BlockWords {
+		// Chunked mask-stream staging: mergeRange's fast path with staging
+		// records in place of kernel dispatch. Word counts are powers of two,
+		// so chunks hold whole 4-word blocks.
+		var masks [coreChunkBlocks]uint32
+		for cb := 0; cb < len(xw); cb += ctxWordBlock {
+			nb := min(len(xw)-cb, ctxWordBlock) / simd.BlockWords
+			if simd.AndSegMasksWrap(masks[:nb], xw, yw, cb, segBits) == 0 {
+				continue
+			}
+			for bi, m := range masks[:nb] {
+				base := (cb + bi*simd.BlockWords) * spw
+				for ; m != 0; m &= m - 1 {
+					seg := base + simd.Tzcnt32(m)
+					segY := seg & segMaskY
+					recs = append(recs, stagedSeg{xo[seg], xo[seg+1], yo[segY], yo[segY+1]})
+				}
+			}
+		}
+		return recs
+	}
 	segClear := uint64(1)<<uint(segBits) - 1
 	segShift := uint(simd.Tzcnt32(uint32(segBits))) // log2(segBits)
 	alignMask := segBits - 1
-
-	i := wordLo
-	if simd.AsmActive() && len(yw) >= simd.BlockWords && wordHi-wordLo >= 2*simd.BlockWords {
-		// Chunked mask-stream staging: same structure as countMergeRange's
-		// fast path, with staging records in place of kernel dispatch.
-		loDown := wordLo &^ (simd.BlockWords - 1)
-		hiUp := (wordHi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
-		var masks [coreChunkBlocks]uint32
-		for cb := loDown; cb < hiUp; {
-			nb := (hiUp - cb) / simd.BlockWords
-			if nb > coreChunkBlocks {
-				nb = coreChunkBlocks
-			}
-			live := simd.AndSegMasksWrap(masks[:nb], xw, yw, cb, segBits)
-			if live != 0 {
-				if cb < wordLo {
-					masks[0] &^= 1<<uint((wordLo-cb)*spw) - 1
-				}
-				if end := cb + nb*simd.BlockWords; end > wordHi {
-					masks[nb-1] &= 1<<uint((wordHi-(end-simd.BlockWords))*spw) - 1
-				}
-				for bi := 0; bi < nb; bi++ {
-					m := masks[bi]
-					if m == 0 {
-						continue
-					}
-					base := (cb + bi*simd.BlockWords) * spw
-					for m != 0 {
-						seg := base + simd.Tzcnt32(m)
-						m &= m - 1
-						segY := seg & segMaskY
-						recs = append(recs, stagedSeg{xo[seg], xo[seg+1], yo[segY], yo[segY+1]})
-					}
-				}
-			}
-			cb += nb * simd.BlockWords
-		}
-		i = wordHi
-	}
-	for ; i < wordHi; i++ {
-		w := xw[i] & yw[i&wordMask]
-		if w == 0 {
-			continue
-		}
+	for i, xv := range xw {
+		w := xv & yw[i&wordMask]
 		base := i * spw
 		for w != 0 {
-			bit := simd.Tzcnt64(w)
-			segOff := bit &^ alignMask
+			segOff := simd.Tzcnt64(w) &^ alignMask
 			w &^= segClear << uint(segOff)
 			seg := base + segOff>>segShift
 			segY := seg & segMaskY
@@ -118,67 +91,30 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 	return recs
 }
 
-// dispatchStagedCount runs dispatch pass 2 for counting: every staged record
-// is counted by the segment kernel, with the fixed-distance read-ahead
+// dispatchStaged runs dispatch pass 2: every staged record goes through the
+// segment kernel into the (dst, emit) sink, in staged order — the same
+// segment order mergeRange produces — with the fixed-distance read-ahead
 // touch of upcoming segment data. The touched words are accumulated and
 // returned so the loads cannot be dead-code-eliminated; callers fold the
 // value into a sink.
-func dispatchStagedCount(xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
+func dispatchStaged(xr, yr []uint32, recs []stagedSeg, dst []uint32, emit Visitor) (n int, touch uint32) {
 	for i := range recs {
 		if j := i + stageReadAhead; j < len(recs) {
 			rj := &recs[j]
 			touch += xr[rj.oa] + yr[rj.ob]
 		}
 		r := &recs[i]
-		n += kernels.Count(xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
+		sa, sb := xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd]
+		switch {
+		case dst != nil:
+			n += kernels.Intersect(dst[n:], sa, sb)
+		case emit != nil:
+			n += kernels.Visit(sa, sb, emit)
+		default:
+			n += kernels.Count(sa, sb)
+		}
 	}
 	return n, touch
-}
-
-// dispatchStagedIntersect is pass 2 for materialization: the kernel writes
-// into dst (which must have room for the whole intersection) in staged
-// order — the same segment order IntersectMerge produces.
-func dispatchStagedIntersect(dst, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
-	for i := range recs {
-		if j := i + stageReadAhead; j < len(recs) {
-			rj := &recs[j]
-			touch += xr[rj.oa] + yr[rj.ob]
-		}
-		r := &recs[i]
-		n += kernels.Intersect(dst[n:], xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
-	}
-	return n, touch
-}
-
-// countMergeStaged is the staged-dispatch CountMerge used by the batch paths:
-// stage into recs, dispatch, return the count and the (possibly grown) record
-// buffer. st, when non-nil, receives the exact merge-side counters; kst, when
-// non-nil (the sampled fraction of queries), additionally gets the kernel
-// histogram replayed from the staged records in a pre-pass so the dispatch
-// loop itself stays untouched.
-func countMergeStaged(a, b *Set, recs []stagedSeg, st, kst *stats.Shard) (int, []stagedSeg, uint32) {
-	x, y := ordered(a, b)
-	recs = stageSegPairs(x, y, recs[:0])
-	if st != nil {
-		if kst != nil {
-			recordStagedKernels(kst, recs)
-		}
-		st.Add(stats.CtrSegPairs, uint64(len(recs)))
-		st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-	}
-	n, touch := dispatchStagedCount(x.reordered, y.reordered, recs)
-	return n, recs, touch
-}
-
-// recordStagedKernels replays a staged record list into the kernel-dispatch
-// histogram (the staged paths' equivalent of countMergeRange's inline
-// per-pair recording; subject to the same query-level sampling). st must be
-// non-nil.
-func recordStagedKernels(st *stats.Shard, recs []stagedSeg) {
-	for i := range recs {
-		r := &recs[i]
-		st.Kernel(int(r.oaEnd-r.oa), int(r.obEnd-r.ob))
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -205,120 +141,79 @@ const batchParallelMinWork = 1 << 19
 // its target segment's half-open range in the large set's reordered array.
 type probeRec struct{ x, oa, oaEnd uint32 }
 
-// hashProbeStaged probes every element of small against large in fixed-size
-// blocks of two phases — the staged-dispatch idea applied to the hash
-// strategy. The staging phase is completely branch-free: every element's
-// bitmap word, segment bounds and first segment word are loaded
-// unconditionally, and survivors are compacted into the stage buffer with a
+// stageProbes is the staging phase of one probe block, completely
+// branch-free: every element's bitmap word and segment bounds are loaded
+// unconditionally, and survivors are compacted into stage with a
 // conditional index increment instead of a branch. With no unpredictable
 // branches in the way, the out-of-order core streams the (cache-missing)
 // loads of many probes at once instead of serializing them behind
 // mispredicts — the same memory-level-parallelism trick as the merge path's
-// two-pass dispatch. The scan phase then walks the staged segment lists,
-// whose cache lines the staging phase already set in flight. Matches are
-// counted, and either appended to dst (when non-nil) or streamed through
-// emit (when non-nil), in the same order hashProbeRange produces.
+// two-pass dispatch. Positions come from pos when non-nil (the query's
+// memoized hashes), from the large set's hasher otherwise. Returns the
+// survivor count.
+func stageProbes(blk []uint32, pos []uint64, large *Set, stage []probeRec) int {
+	lb := large.bm
+	words, mBits := lb.Words(), lb.Bits()
+	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
+	offs := large.offsets
+	ns := 0
+	for k, x := range blk {
+		var p uint64
+		if pos != nil {
+			p = pos[k]
+		} else {
+			p = large.hasher.Pos(x, mBits)
+		}
+		hit := int(words[p>>6] >> (p & 63) & 1)
+		seg := int(p) >> segShift
+		stage[ns] = probeRec{x, offs[seg], offs[seg+1]}
+		ns += hit
+	}
+	return ns
+}
+
+// hashProbeStaged probes every element of elems against large in blocks of
+// two phases — the staged-dispatch idea applied to the hash strategy:
+// stageProbes, then a touch pass that issues every survivor's first segment
+// load back to back, then the scan of the staged (and now in-flight) segment
+// lists. On the AVX-512 rung (and with no memoized positions) the staging
+// phase runs through the gathered probe instead: hash, bitmap gather and bit
+// test happen in zmm lanes (simd.ProbeStage), and stage records are built
+// from the compress-stored survivors only. Matches go to the (dst, emit)
+// sink in the same order hashProbe produces.
 //
 // stage must hold probeBlock entries. The accumulated touch value is
 // returned so the read-ahead loads cannot be dead-code-eliminated. st, when
-// non-nil, receives the probe/survivor counters at block granularity (the
-// block compaction rate of the staged probe).
-func hashProbeStaged(small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	if simd.GatherProbeActive() && small.n >= 16 && large.bm.Bits() <= gatherProbeMaxBits {
-		return hashProbeStagedGather(small, large, stage, dst, emit, st)
-	}
+// non-nil, receives the probe/survivor counters.
+func hashProbeStaged(elems []uint32, pos []uint64, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
 	lb := large.bm
-	words := lb.Words()
-	mBits := lb.Bits()
+	gather := pos == nil && simd.GatherProbeActive() && lb.Bits() <= gatherProbeMaxBits
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	hasher := large.hasher
-	elems := small.reordered
+	offs, reord := large.offsets, large.reordered
+	seed := large.hasher.Seed()
+	var outE, outP [probeBlock]uint32 // on the stack: ProbeStage's pointers do not escape
 
-	n := 0
-	survivors := 0
+	n, survivors := 0, 0
 	var touch uint64
-	for lo := 0; lo < len(elems); lo += probeBlock {
-		blk := elems[lo:min(lo+probeBlock, len(elems))]
-		// Staging phase (branch-free).
-		ns := 0
-		for _, x := range blk {
-			p := hasher.Pos(x, mBits)
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
+	for lo := 0; lo < len(elems); {
+		hi := min(lo+probeBlock, len(elems))
+		var ns int
+		if gather && len(elems)-lo >= 16 {
+			var consumed int
+			ns, consumed = simd.ProbeStage(elems[lo:hi], lb.Words(), seed, lb.Bits()-1, outE[:], outP[:])
+			for i := range ns {
+				seg := int(outP[i]) >> segShift
+				stage[i] = probeRec{outE[i], offs[seg], offs[seg+1]}
+			}
+			hi = lo + consumed
+		} else if pos != nil {
+			ns = stageProbes(elems[lo:hi], pos[lo:hi], large, stage)
+		} else {
+			ns = stageProbes(elems[lo:hi], nil, large, stage)
 		}
+		lo = hi
 		survivors += ns
-		// Touch pass: issue every survivor's first segment load back to back,
-		// so the (serialized, short-scan) scan phase finds the lines already
-		// in flight. Survivors' segments are never empty — their bit was set.
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
-		}
-		// Scan phase over the staged (and now in-flight) segment lists.
-		n = scanStage(stage[:ns], reord, dst, emit, n)
-	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
-	return n, uint32(touch)
-}
-
-// hashProbeStagedGather is hashProbeStaged with the staging phase run
-// through the AVX-512 gathered probe: hash, bitmap gather and bit test all
-// happen in zmm lanes (simd.ProbeStage), and the stage records are then
-// built from the compress-stored survivors only — the segment-bound loads
-// the scalar staging phase issues for *every* probe happen just for the
-// survivors here. The touch pass and scan phase are unchanged, so match
-// order and output are identical. The out arrays live on the stack
-// (ProbeStage's pointers do not escape), keeping the warm path
-// allocation-free.
-func hashProbeStagedGather(small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	lb := large.bm
-	words := lb.Words()
-	mBits := lb.Bits()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	hasher := large.hasher
-	seed := hasher.Seed()
-	elems := small.reordered
-
-	n := 0
-	survivors := 0
-	var touch uint64
-	var outE, outP [probeBlock]uint32
-	lo := 0
-	for lo+16 <= len(elems) {
-		blk := elems[lo:min(lo+probeBlock, len(elems))]
-		ns, consumed := simd.ProbeStage(blk, words, seed, mBits-1, outE[:], outP[:])
-		lo += consumed
-		survivors += ns
-		for i := 0; i < ns; i++ {
-			seg := int(outP[i]) >> segShift
-			stage[i] = probeRec{outE[i], offs[seg], offs[seg+1]}
-		}
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
-		}
-		n = scanStage(stage[:ns], reord, dst, emit, n)
-	}
-	// Sub-16 tail: one scalar staging block.
-	if lo < len(elems) {
-		ns := 0
-		for _, x := range elems[lo:] {
-			p := hasher.Pos(x, mBits)
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
-		}
-		survivors += ns
+		// Survivors' segments are never empty — their bit was set.
 		for i := range stage[:ns] {
 			touch += uint64(reord[stage[i].oa])
 		}
@@ -332,40 +227,12 @@ func hashProbeStagedGather(small, large *Set, stage []probeRec, dst []uint32, em
 }
 
 // scanStage walks one staging block's surviving probes against the large
-// set's segment lists, counting matches and appending to dst / streaming
-// through emit when non-nil. n is the running match count (and dst write
-// cursor); the updated count is returned.
+// set's segment lists into the (dst, emit) sink. n is the running match
+// count (and dst write cursor); the updated count is returned.
 func scanStage(recs []probeRec, reord, dst []uint32, emit Visitor, n int) int {
 	for _, r := range recs {
-		x := r.x
-		if seg := reord[r.oa:r.oaEnd]; simd.AsmActive() && len(seg) >= containsCutover {
-			// Long segments: the 8-lane compare probe beats the scalar
-			// early-exit scan once it has a few registers' worth to chew on.
-			if simd.Contains(seg, x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
-			continue
-		}
-		for _, v := range reord[r.oa:r.oaEnd] {
-			if v == x {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-				break
-			}
-			if v > x {
-				break
-			}
+		if segHas(reord[r.oa:r.oaEnd], r.x) {
+			n = put(dst, n, emit, r.x)
 		}
 	}
 	return n
@@ -398,304 +265,171 @@ func (c *probeCache) fill(q *Set, mBits uint64) {
 
 // hashProbeBatch routes one batch hash-strategy step: when the query itself
 // is the probing side and big enough to amortize staging, the probe runs on
-// the executor's memoized position cache; otherwise it falls through to the
+// the scratch's memoized position cache; otherwise it falls through to the
 // self-hashing staged probe. On the AVX-512 rung the position cache is
 // skipped entirely: the gathered stage recomputes the hash in zmm lanes for
 // less than the cache's per-element load costs, and folds the bitmap test
 // into the same pass.
-func hashProbeBatch(c *probeCache, q, small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	if simd.GatherProbeActive() && large.bm.Bits() <= gatherProbeMaxBits {
-		return hashProbeStaged(small, large, stage, dst, emit, st)
-	}
-	if small == q && small.n >= probeBlock {
-		if mBits := large.bm.Bits(); c.bits != mBits {
-			c.fill(q, mBits)
+func (s *scratch) hashProbeBatch(q, small, large *Set, dst []uint32, emit Visitor) int {
+	var pos []uint64
+	gather := simd.GatherProbeActive() && large.bm.Bits() <= gatherProbeMaxBits
+	if !gather && small == q && small.n >= probeBlock {
+		if mBits := large.bm.Bits(); s.qcache.bits != mBits {
+			s.qcache.fill(q, mBits)
 		}
-		return hashProbeStagedPos(c.pos, small, large, stage, dst, emit, st)
+		pos = s.qcache.pos
 	}
-	return hashProbeStaged(small, large, stage, dst, emit, st)
+	n, touch := hashProbeStaged(small.reordered, pos, large, s.probeStage, dst, emit, s.st)
+	s.touch += touch
+	return n
 }
 
-// hashProbeStagedPos is hashProbeStaged with the probe positions read from a
-// precomputed cache instead of hashed on the fly — the staging phase becomes
-// pure loads and shifts.
-func hashProbeStagedPos(pos []uint64, small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	lb := large.bm
-	words := lb.Words()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	elems := small.reordered
-
-	n := 0
-	survivors := 0
-	var touch uint64
-	for lo := 0; lo < len(elems); lo += probeBlock {
-		hi := min(lo+probeBlock, len(elems))
-		blk := elems[lo:hi]
-		posBlk := pos[lo:hi]
-		ns := 0
-		for k, x := range blk {
-			p := posBlk[k]
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
-		}
-		survivors += ns
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
-		}
-		n = scanStage(stage[:ns], reord, dst, emit, n)
-	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
-	return n, uint32(touch)
-}
-
-// ensureProbe sizes the executor's staged-probe buffer and invalidates the
+// ensureProbe sizes the scratch's staged-probe buffer and invalidates the
 // query position cache (each batch call may carry a different query).
-func (e *Executor) ensureProbe() {
-	if cap(e.probeStage) < probeBlock {
-		e.probeStage = make([]probeRec, probeBlock)
+func (s *scratch) ensureProbe() {
+	if cap(s.probeStage) < probeBlock {
+		s.probeStage = make([]probeRec, probeBlock)
 	}
-	e.probeStage = e.probeStage[:probeBlock]
-	e.qcache.bits = 0
+	s.probeStage = s.probeStage[:probeBlock]
+	s.qcache.bits = 0
 }
 
 // ---------------------------------------------------------------------------
 // One-vs-many batch queries.
 // ---------------------------------------------------------------------------
 
-// CountMany fills out[i] with |q ∩ candidates[i]| for every candidate,
-// exactly matching a loop of Count(q, candidates[i]) — including the
-// per-candidate adaptive merge/hash switch — but amortizing query-side work
-// across the batch: q's bitmap words and the staging buffer stay
-// hot, and the merge pairs run through the staged two-pass dispatch. out must
-// have at least len(candidates) entries. Zero heap allocations once the
-// staging buffer has grown to the workload's largest candidate.
-func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
-	if len(out) < len(candidates) {
-		panic("core: CountMany output shorter than candidate list")
+// step is the batch engine's one per-candidate step: q ∩ c on this scratch,
+// into the (dst, emit) sink, returning the count. It matches the pair
+// operator's answer and order exactly — the same planner or skew-rule
+// strategy choice — but merge candidates run the staged two-pass dispatch
+// and hash candidates the staged probe on the query's memoized positions.
+// Per-query instrumentation (strategy counters, latency) belongs to the
+// batch as a whole; step records only the per-pair counters.
+func (s *scratch) step(q, c *Set, dst []uint32, emit Visitor) int {
+	compatible(q, c)
+	if c.n == 0 || q.n == 0 {
+		return 0
+	}
+	if crossPair(q, c) {
+		n, _ := crossRun(nil, s.plan, &s.denseAnd, q, c, dst, emit, s.st)
+		return n
+	}
+	hash := useHash(q, c)
+	var ch planner.Choice
+	if s.plan != nil { // the planner-off check stays inline per candidate
+		ch, hash = planSegSeg(s.plan, s.st, q, c)
+	}
+	start := planStart(ch)
+	var n int
+	if hash {
+		small, large := bySize(q, c)
+		n = s.hashProbeBatch(q, small, large, dst, emit)
+	} else {
+		n = s.mergeStaged(q, c, dst, emit)
+	}
+	planRecord(s.plan, ch, start)
+	return n
+}
+
+// mergeStaged is the batch engine's merge strategy: pass 1 stages the
+// surviving segment pairs into the scratch's record buffer, pass 2
+// dispatches them into the (dst, emit) sink. With stats on, the exact
+// merge-side counters are recorded and, on sampled candidates, the kernel
+// histogram is replayed from the staged records, so the dispatch loop itself
+// stays untouched.
+func (s *scratch) mergeStaged(a, b *Set, dst []uint32, emit Visitor) int {
+	x, y := ordered(a, b)
+	s.staged = stageSegPairs(x, y, s.staged[:0])
+	if s.st != nil {
+		if kst := s.kernelShard(); kst != nil {
+			for _, r := range s.staged {
+				kst.Kernel(int(r.oaEnd-r.oa), int(r.obEnd-r.ob))
+			}
+		}
+		s.st.Add(stats.CtrSegPairs, uint64(len(s.staged)))
+		s.st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
+	}
+	n, touch := dispatchStaged(x.reordered, y.reordered, s.staged, dst, emit)
+	s.touch += touch
+	return n
+}
+
+// many is the serial batch driver behind CountMany, IntersectManyInto,
+// VisitMany and CountManyCtx: step over every candidate on the executor's
+// own scratch, checking ctx (when non-nil) once per candidate. out[i], when
+// out is non-nil, receives candidate i's count; dst, when non-nil, receives
+// the matches back to back; emit, when non-nil, receives (candidate index,
+// element) pairs. Returns the total match count.
+func (e *Executor) many(ctx context.Context, q *Set, candidates []*Set, out []int, dst []uint32, emit func(candidate int, v uint32)) (int, error) {
+	if err := checkpoint(ctx); err != nil {
+		return 0, e.noteCancel(err)
 	}
 	if len(candidates) == 0 {
-		return
+		return 0, nil
 	}
-	st := e.st
 	var start time.Time
-	if st != nil {
+	if e.st != nil {
 		start = time.Now()
 	}
 	e.ensureProbe()
-	recs := e.staged
-	var touch uint32
-	h := e.plan
-	for i, c := range candidates {
-		compatible(q, c)
-		switch {
-		case c.n == 0 || q.n == 0:
-			out[i] = 0
-		case crossPair(q, c):
-			out[i] = crossRun(h, &e.denseAnd, q, c, nil, nil, st)
-		default:
-			ch, hash := planSegSeg(h, st, q, c)
-			pstart := planStart(ch)
-			if hash {
-				small, large := q, c
-				if small.n > large.n {
-					small, large = large, small
-				}
-				var t uint32
-				out[i], t = hashProbeBatch(&e.qcache, q, small, large, e.probeStage, nil, nil, st)
-				touch += t
-			} else {
-				var n int
-				var t uint32
-				n, recs, t = countMergeStaged(q, c, recs, st, e.kernelShard())
-				out[i] = n
-				touch += t
-			}
-			planRecord(h, ch, pstart)
+	if ctx == nil && out != nil && dst == nil && emit == nil {
+		// The plain count loop stays free of the checkpoint and sink
+		// bookkeeping: on batches of tiny candidates (triangle counting) the
+		// per-candidate overhead is the cost, and the extra live values of
+		// the general loop spill.
+		total := 0
+		for i, c := range candidates {
+			out[i] = e.step(q, c, nil, nil)
+			total += out[i]
 		}
+		e.observeBatch(start, len(candidates))
+		return total, nil
 	}
-	e.staged = recs
-	e.touchSink += touch
-	if st != nil {
-		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)
+	cand := 0
+	var visit Visitor
+	if emit != nil {
+		visit = func(v uint32) { emit(cand, v) }
 	}
-}
-
-// IntersectManyInto writes q ∩ candidates[i] for every candidate into dst,
-// back to back, recording each candidate's count in counts[i] and returning
-// the total number of elements written. Per-candidate results match
-// Intersect(dst, q, candidates[i]) exactly (same strategy choice, same
-// segment order). dst must have room for the sum over candidates of
-// min(q.Len(), candidate.Len()); counts must have at least len(candidates)
-// entries. Zero heap allocations once warm.
-func (e *Executor) IntersectManyInto(dst []uint32, counts []int, q *Set, candidates []*Set) int {
-	if len(counts) < len(candidates) {
-		panic("core: IntersectManyInto counts shorter than candidate list")
-	}
-	st := e.st
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
-	e.ensureProbe()
-	recs := e.staged
-	var touch uint32
-	h := e.plan
 	total := 0
 	for i, c := range candidates {
-		compatible(q, c)
-		n := 0
-		switch {
-		case c.n == 0 || q.n == 0:
-			// nothing to write
-		case crossPair(q, c):
-			n = crossRun(h, &e.denseAnd, q, c, dst[total:], nil, st)
-		default:
-			ch, hash := planSegSeg(h, st, q, c)
-			pstart := planStart(ch)
-			if hash {
-				small, large := q, c
-				if small.n > large.n {
-					small, large = large, small
-				}
-				var t uint32
-				n, t = hashProbeBatch(&e.qcache, q, small, large, e.probeStage, dst[total:], nil, st)
-				touch += t
-			} else {
-				x, y := ordered(q, c)
-				recs = stageSegPairs(x, y, recs[:0])
-				if st != nil {
-					if kst := e.kernelShard(); kst != nil {
-						recordStagedKernels(kst, recs)
-					}
-					st.Add(stats.CtrSegPairs, uint64(len(recs)))
-					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-				}
-				var t uint32
-				n, t = dispatchStagedIntersect(dst[total:], x.reordered, y.reordered, recs)
-				touch += t
-			}
-			planRecord(h, ch, pstart)
+		if err := checkpoint(ctx); err != nil {
+			return 0, e.noteCancel(err)
 		}
-		counts[i] = n
+		cand = i
+		n := e.step(q, c, tail(dst, total), visit)
+		if out != nil {
+			out[i] = n
+		}
 		total += n
 	}
-	e.staged = recs
-	e.touchSink += touch
-	if st != nil {
-		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)
-	}
-	return total
+	e.observeBatch(start, len(candidates))
+	return total, nil
 }
 
-// VisitMany streams every q ∩ candidates[i] through emit as (candidate
-// index, element) pairs, in the same per-candidate order IntersectManyInto
-// writes, without materializing any result. The only steady-state allocation
-// is one adapter closure per call.
-func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int, v uint32)) {
-	st := e.st
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
-	e.ensureProbe()
-	recs := e.staged
-	h := e.plan
-	cand := 0
-	emit1 := func(v uint32) { emit(cand, v) }
-	for i, c := range candidates {
-		compatible(q, c)
-		cand = i
-		switch {
-		case c.n == 0 || q.n == 0:
-			// nothing to emit
-		case crossPair(q, c):
-			crossRun(h, &e.denseAnd, q, c, nil, emit1, st)
-		default:
-			ch, hash := planSegSeg(h, st, q, c)
-			pstart := planStart(ch)
-			if hash {
-				small, large := q, c
-				if small.n > large.n {
-					small, large = large, small
-				}
-				_, t := hashProbeBatch(&e.qcache, q, small, large, e.probeStage, nil, emit1, st)
-				e.touchSink += t
-			} else {
-				x, y := ordered(q, c)
-				recs = stageSegPairs(x, y, recs[:0])
-				if st != nil {
-					if kst := e.kernelShard(); kst != nil {
-						recordStagedKernels(kst, recs)
-					}
-					st.Add(stats.CtrSegPairs, uint64(len(recs)))
-					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-				}
-				xr, yr := x.reordered, y.reordered
-				for _, r := range recs {
-					kernels.Visit(xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd], emit1)
-				}
-			}
-			planRecord(h, ch, pstart)
-		}
-	}
-	e.staged = recs
-	if st != nil {
-		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)
+// observeBatch records one completed batch query.
+func (e *Executor) observeBatch(start time.Time, candidates int) {
+	if e.st != nil {
+		e.st.Add(stats.CtrBatchCandidates, uint64(candidates))
+		observeSince(e.st, stats.CtrQueriesBatch, stats.LatBatch, start)
 	}
 }
 
-// CountManyParallel is CountMany with the *candidate list* partitioned across
-// `workers` parts of the executor's persistent pool — finer-grained and
-// better balanced than per-pair bitmap-word splitting when candidates are
-// small. Candidates are scheduled in descending size order and dealt to
-// workers round-robin, so no worker ends up with all the heavy candidates.
-// Each worker stages and dispatches in its own persistent buffer; out[i] is
-// written by exactly one worker.
-func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, workers int) {
-	if len(out) < len(candidates) {
-		panic("core: CountManyParallel output shorter than candidate list")
+// manyParallel is the parallel batch driver behind CountManyParallel and
+// CountManyParallelCtx: the *candidate list* is partitioned across `workers`
+// parts of the executor's persistent pool — finer-grained and better
+// balanced than per-pair bitmap-word splitting when candidates are small.
+// Candidates are scheduled in descending size order and dealt to workers
+// round-robin, so no worker ends up with all the heavy candidates. Each
+// worker runs step on its own scratch and checks ctx once per candidate;
+// out[i] is written by exactly one worker.
+func (e *Executor) manyParallel(ctx context.Context, q *Set, candidates []*Set, out []int, workers int) error {
+	workers = min(workers, len(candidates))
+	if workers <= 1 || batchWork(q, candidates) < batchParallelMinWork {
+		_, err := e.many(ctx, q, candidates, out, nil, nil)
+		return err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers <= 1 {
-		e.CountMany(q, candidates, out)
-		return
-	}
-	// Work-size cutover: a batch whose total work cannot amortize the pool
-	// hand-off runs serially on the warm batch path — at small scale the
-	// fork/join and per-worker cache re-warming cost more than they save
-	// (BENCH_batch.json's skewed/c256 regime). The proxy charges each
-	// candidate its strategy's dominant term: probes for the hash side,
-	// both segment streams for the merge side.
-	work := 0
-	for _, c := range candidates {
-		switch {
-		case crossPair(q, c):
-			work += q.n + c.n
-		case useHash(q, c):
-			work += min(q.n, c.n)
-		default:
-			work += q.n + c.n
-		}
-	}
-	if work < batchParallelMinWork {
-		e.CountMany(q, candidates, out)
-		return
+	if err := checkpoint(ctx); err != nil {
+		return e.noteCancel(err)
 	}
 	var start time.Time
 	if e.st != nil {
@@ -715,52 +449,82 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 	e.ensureWorkers(workers)
 	e.getPool().Do(workers, func(w int) {
 		ws := &e.workers[w]
-		if cap(ws.probeStage) < probeBlock {
-			ws.probeStage = make([]probeRec, probeBlock)
-		}
-		ws.qcache.bits = 0
-		recs := ws.staged
-		var touch uint32
-		h := ws.plan
-		seq := 0 // per-worker merge-candidate index for kernel sampling
-		for k := w; k < len(sched); k += workers {
+		ws.ensureProbe()
+		for k := w; k < len(sched) && checkpoint(ctx) == nil; k += workers {
 			i := sched[k]
-			c := candidates[i]
-			compatible(q, c)
-			switch {
-			case c.n == 0 || q.n == 0:
-				out[i] = 0
-			case crossPair(q, c):
-				out[i] = crossRun(h, &ws.denseAnd, q, c, nil, nil, ws.st)
-			default:
-				ch, hash := planSegSeg(h, ws.st, q, c)
-				pstart := planStart(ch)
-				if hash {
-					small, large := q, c
-					if small.n > large.n {
-						small, large = large, small
-					}
-					var t uint32
-					out[i], t = hashProbeBatch(&ws.qcache, q, small, large, ws.probeStage, nil, nil, ws.st)
-					touch += t
-				} else {
-					var n int
-					var t uint32
-					n, recs, t = countMergeStaged(q, c, recs, ws.st, sampleShard(ws.st, seq))
-					seq++
-					out[i] = n
-					touch += t
-				}
-				planRecord(h, ch, pstart)
-			}
+			out[i] = ws.step(q, candidates[i], nil, nil)
 		}
-		ws.staged = recs
-		ws.touch = touch
 	})
-	if e.st != nil {
-		e.st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(e.st, stats.CtrQueriesBatch, stats.LatBatch, start)
+	if err := checkpoint(ctx); err != nil {
+		return e.noteCancel(err)
 	}
+	e.observeBatch(start, len(candidates))
+	return nil
+}
+
+// batchWork is manyParallel's work-size proxy for its serial cutover: a
+// batch whose total work cannot amortize the pool hand-off runs serially on
+// the warm batch path — at small scale the fork/join and per-worker cache
+// re-warming cost more than they save (BENCH_batch.json's skewed/c256
+// regime). Each candidate is charged its strategy's dominant term: probes
+// for the hash side, both segment streams for the merge side.
+func batchWork(q *Set, candidates []*Set) int {
+	work := 0
+	for _, c := range candidates {
+		if !crossPair(q, c) && useHash(q, c) {
+			work += min(q.n, c.n)
+		} else {
+			work += q.n + c.n
+		}
+	}
+	return work
+}
+
+// CountMany fills out[i] with |q ∩ candidates[i]| for every candidate,
+// exactly matching a loop of Count(q, candidates[i]) — including the
+// per-candidate adaptive merge/hash switch — but amortizing query-side work
+// across the batch: q's bitmap words and the staging buffer stay
+// hot, and the merge pairs run through the staged two-pass dispatch. out must
+// have at least len(candidates) entries. Zero heap allocations once the
+// staging buffer has grown to the workload's largest candidate.
+func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
+	if len(out) < len(candidates) {
+		panic("core: CountMany output shorter than candidate list")
+	}
+	e.many(nil, q, candidates, out, nil, nil)
+}
+
+// IntersectManyInto writes q ∩ candidates[i] for every candidate into dst,
+// back to back, recording each candidate's count in counts[i] and returning
+// the total number of elements written. Per-candidate results match
+// Intersect(dst, q, candidates[i]) exactly (same strategy choice, same
+// segment order). dst must have room for the sum over candidates of
+// min(q.Len(), candidate.Len()); counts must have at least len(candidates)
+// entries. Zero heap allocations once warm.
+func (e *Executor) IntersectManyInto(dst []uint32, counts []int, q *Set, candidates []*Set) int {
+	if len(counts) < len(candidates) {
+		panic("core: IntersectManyInto counts shorter than candidate list")
+	}
+	n, _ := e.many(nil, q, candidates, counts, dst, nil)
+	return n
+}
+
+// VisitMany streams every q ∩ candidates[i] through emit as (candidate
+// index, element) pairs, in the same per-candidate order IntersectManyInto
+// writes, without materializing any result. Zero heap allocations once warm
+// (the emit closure itself is the caller's).
+func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int, v uint32)) {
+	e.many(nil, q, candidates, nil, nil, emit)
+}
+
+// CountManyParallel is CountMany with the candidate list partitioned across
+// `workers` parts of the executor's persistent pool; batches too small to
+// amortize the hand-off run serially (see manyParallel).
+func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, workers int) {
+	if len(out) < len(candidates) {
+		panic("core: CountManyParallel output shorter than candidate list")
+	}
+	e.manyParallel(nil, q, candidates, out, workers)
 }
 
 // ---------------------------------------------------------------------------
@@ -770,25 +534,19 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 // CountMany fills out[i] with |q ∩ candidates[i]| on a pooled default
 // Executor.
 func CountMany(q *Set, candidates []*Set, out []int) {
-	e := getExecutor()
-	defer putExecutor(e)
-	e.CountMany(q, candidates, out)
+	pooled(func(e *Executor) any { e.CountMany(q, candidates, out); return nil })
 }
 
 // IntersectManyInto writes every q ∩ candidates[i] into dst back to back on
 // a pooled default Executor; see Executor.IntersectManyInto.
 func IntersectManyInto(dst []uint32, counts []int, q *Set, candidates []*Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectManyInto(dst, counts, q, candidates)
+	return pooled(func(e *Executor) int { return e.IntersectManyInto(dst, counts, q, candidates) })
 }
 
 // CountManyParallel is CountMany partitioned across `workers` parts of the
 // shared pool on a pooled default Executor.
 func CountManyParallel(q *Set, candidates []*Set, out []int, workers int) {
-	e := getExecutor()
-	defer putExecutor(e)
-	e.CountManyParallel(q, candidates, out, workers)
+	pooled(func(e *Executor) any { e.CountManyParallel(q, candidates, out, workers); return nil })
 }
 
 // sortIdxByLenDesc heap-sorts idx in place so that sets[idx[0]] is the

@@ -37,6 +37,13 @@ func randSet(rng *rand.Rand, n int, universe uint32) []uint32 {
 	return out // may contain duplicates; NewSet dedups
 }
 
+// intersectHash runs the pair operator with the hash strategy forced into
+// dst, on a fresh executor.
+func intersectHash(dst []uint32, a, b *Set) int {
+	n, _ := NewExecutor().pair(nil, stratHash, a, b, dst, nil)
+	return n
+}
+
 func sortedCopy(s []uint32) []uint32 {
 	out := append([]uint32(nil), s...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -277,7 +284,7 @@ func TestIntersectAllConfigs(t *testing.T) {
 						}
 					}
 				}
-				n = IntersectHash(dst, sa, sb)
+				n = intersectHash(dst, sa, sb)
 				if got := sortedCopy(dst[:n]); len(got) != len(want) {
 					t.Errorf("%s IntersectHash n = %d, want %d", v.name, n, len(want))
 				} else {
@@ -295,20 +302,6 @@ func TestIntersectAllConfigs(t *testing.T) {
 				for _, workers := range []int{2, 3, 8} {
 					if got := CountMergeParallel(sa, sb, workers); got != len(want) {
 						t.Errorf("%s CountMergeParallel(%d) = %d, want %d", v.name, workers, got, len(want))
-					}
-					n = IntersectMergeParallel(dst, sa, sb, workers)
-					if got := sortedCopy(dst[:n]); len(got) != len(want) {
-						t.Errorf("%s IntersectMergeParallel(%d) = %d, want %d", v.name, workers, n, len(want))
-					} else {
-						for i := range want {
-							if got[i] != want[i] {
-								t.Errorf("%s IntersectMergeParallel values differ", v.name)
-								break
-							}
-						}
-					}
-					if got := CountHashParallel(sa, sb, workers); got != len(want) {
-						t.Errorf("%s CountHashParallel(%d) = %d, want %d", v.name, workers, got, len(want))
 					}
 				}
 			}
@@ -627,7 +620,7 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	bitmap.ForEachIntersectingSegmentK(maps, func(int) { survivors++ })
 	// 2-way survivors for comparison.
 	two := 0
-	forEachSegPair(sets[0], sets[1], func(_, _ int) { two++ })
+	bitmap.ForEachIntersectingSegment(sets[0].bm, sets[1].bm, func(_, _ int) { two++ })
 	if survivors >= two/4 {
 		t.Errorf("3-way survivors %d not far below 2-way %d (Proposition 2)", survivors, two)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -15,13 +16,17 @@ import (
 // a Visitor instead of a destination slice lets callers aggregate, filter, or
 // forward matches without materializing them — the result-flow idiom of
 // visitor-based set-operation libraries, applied to FESIA's online phase.
+//
+// Internally every query writes into one nil-able sink pair (dst []uint32,
+// emit Visitor): matches go to dst when it is non-nil, through emit when it
+// is non-nil, and are only counted when both are nil.
 type Visitor func(uint32)
 
 // Executor owns all query-time scratch state for the online intersection
-// phase: the k-way pairwise chain buffers, the segment staging buffer for
-// visitor dispatch, and the per-worker state of the parallel paths. The FESIA
-// paper's premise is that construction is the one-time offline step and
-// queries are the cheap repeated step; an Executor makes the repeated step
+// phase: the k-way pairwise chain buffers, the batch engine's staging
+// buffers, and the per-worker state of the parallel paths. The FESIA paper's
+// premise is that construction is the one-time offline step and queries are
+// the cheap repeated step; an Executor makes the repeated step
 // allocation-free — after warm-up, Count, Intersect (into a caller buffer),
 // CountK, and the visitor methods perform zero heap allocations.
 //
@@ -31,68 +36,54 @@ type Visitor func(uint32)
 // from multiple goroutines at once — give each query goroutine its own, or
 // recycle them through a sync.Pool as the package-level wrappers do.
 type Executor struct {
-	chain1  []uint32 // k-way pairwise chain buffer A
-	chain2  []uint32 // k-way pairwise chain buffer B
-	ord     []*Set   // k-way bitmap-size ordering scratch
+	scratch // the sequential paths' scratch, stats shard and planner handle
+
+	ord     []*Set // k-way bitmap-size ordering scratch
 	maps    []*bitmap.Bitmap
-	workers []execWorker
+	workers []scratch // one per parallel worker slot
 	pool    *Pool
+	sched   []int32 // candidate scheduling order (CountManyParallel)
 
-	staged     []stagedSeg // staged two-pass dispatch records (batch paths)
-	sched      []int32     // candidate scheduling order (CountManyParallel)
-	probeStage []probeRec  // staged hash probe: survivor records
-	qcache     probeCache  // query hash positions, memoized per bitmap size
-	denseAnd   []uint64    // dense×dense word-AND scratch (cross-rep paths)
-	touchSink  uint32      // accumulates read-ahead touches so they are not DCE'd
-
-	// Observability (nil when stats are disabled — the default). st is this
-	// executor's single-writer shard for its sequential paths; each parallel
-	// worker slot carries its own shard. qseq numbers the merge queries for
-	// kernel-histogram sampling (kernelSampled). See stats.go for the
-	// ownership model.
-	st   *stats.Shard
+	// Observability (nil when stats are disabled — the default). The
+	// embedded scratch's st is this executor's single-writer shard for its
+	// sequential paths; each parallel worker slot carries its own. See
+	// stats.go for the ownership model.
 	sink *stats.Sink
-	qseq uint64
 
-	// Adaptive planner (nil when off — the default). plan is this executor's
-	// single-writer decision handle for its sequential paths; each parallel
+	// Adaptive planner (nil when off — the default). The embedded scratch's
+	// plan is this executor's single-writer decision handle; each parallel
 	// worker slot carries its own. See plan.go for the ownership model.
-	plan      *planner.Handle
 	planModel *planner.Model
 
 	// Per-query tracing (nil when no tracer is installed — the default).
 	// tr is this executor's (shard × slot) staging cell in the serving
-	// tier's tracer; the sequential ctx paths append strategy, planner and
+	// tier's tracer; the sequential paths append strategy, planner and
 	// kernel records to it. See trace.go for the ownership model.
 	tr *trace.Cell
 }
 
-// execWorker is one worker's private state inside an Executor's parallel
-// methods. Buffers persist across queries so a warm executor's parallel paths
-// stop allocating once every worker has seen its largest range.
-type execWorker struct {
-	count      int
-	buf        []uint32 // materialization buffer (IntersectMergeParallel)
-	chain1     []uint32 // k-way chain scratch
-	chain2     []uint32
-	staged     []stagedSeg // per-worker staged dispatch records (CountManyParallel)
-	probeStage []probeRec  // per-worker staged probe buffer
-	qcache     probeCache  // per-worker query position cache
-	denseAnd   []uint64    // per-worker dense×dense AND scratch (cross-rep)
-	touch      uint32      // per-worker read-ahead sink
-	st         *stats.Shard
-	plan       *planner.Handle
+// scratch is one thread's query state: the executor's own for its
+// sequential paths, and one per parallel worker slot. Buffers persist across
+// queries, so a warm executor stops allocating once every slot has seen its
+// largest input.
+type scratch struct {
+	chain1, chain2 []uint32    // k-way pairwise chain buffers
+	staged         []stagedSeg // staged two-pass dispatch records (batch paths)
+	probeStage     []probeRec  // staged hash probe: survivor records
+	qcache         probeCache  // query hash positions, memoized per bitmap size
+	denseAnd       []uint64    // dense×dense word-AND scratch (cross-rep paths)
+	touch          uint32      // accumulates read-ahead touches so they are not DCE'd
+	qseq           uint64      // merge-query sequence for kernel sampling
+	count          int         // a parallel worker's result
+
+	st   *stats.Shard    // single-writer stats shard (nil = stats off)
+	plan *planner.Handle // single-writer planner handle (nil = planner off)
 }
 
 // NewExecutor returns an Executor attached to the shared worker pool. If a
 // process-global stats sink is installed (EnableStats), the executor attaches
 // to it.
-func NewExecutor() *Executor {
-	e := &Executor{pool: SharedPool()}
-	e.maybeAttachStats()
-	e.maybeAttachPlanner()
-	return e
-}
+func NewExecutor() *Executor { return NewExecutorWithPool(SharedPool()) }
 
 // NewExecutorWithPool returns an Executor whose parallel methods run on the
 // given pool instead of the shared one.
@@ -119,9 +110,41 @@ func growU32(buf []uint32, n int) []uint32 {
 	return buf[:n]
 }
 
+// tail returns dst past its first n elements, keeping a nil sink nil.
+func tail(dst []uint32, n int) []uint32 {
+	if dst == nil {
+		return nil
+	}
+	return dst[n:]
+}
+
+// put records match x into the sink at position n and returns n+1.
+func put(dst []uint32, n int, emit Visitor, x uint32) int {
+	if dst != nil {
+		dst[n] = x
+	}
+	if emit != nil {
+		emit(x)
+	}
+	return n + 1
+}
+
+// putAll records a run of matches into the sink and returns its length.
+func putAll(cur, dst []uint32, emit Visitor) int {
+	if dst != nil {
+		copy(dst, cur)
+	}
+	if emit != nil {
+		for _, v := range cur {
+			emit(v)
+		}
+	}
+	return len(cur)
+}
+
 func (e *Executor) ensureWorkers(n int) {
 	for len(e.workers) < n {
-		w := execWorker{}
+		w := scratch{}
 		if e.sink != nil {
 			w.st = e.sink.NewShard()
 		}
@@ -132,65 +155,163 @@ func (e *Executor) ensureWorkers(n int) {
 	}
 }
 
+// split runs fn over `workers` contiguous parts of [0, n) on the executor's
+// pool, each part on its own worker scratch, and returns the summed results.
+// Segments never straddle words, so word-range parts touch disjoint segment
+// pairs (Section VI's multicore scheme).
+func (e *Executor) split(n, workers int, fn func(ws *scratch, lo, hi int) int) int {
+	e.ensureWorkers(workers)
+	chunk := (n + workers - 1) / workers
+	e.getPool().Do(workers, func(w int) {
+		lo := min(w*chunk, n)
+		e.workers[w].count = fn(&e.workers[w], lo, min(lo+chunk, n))
+	})
+	total := 0
+	for w := range workers {
+		total += e.workers[w].count
+	}
+	return total
+}
+
 // ---------------------------------------------------------------------------
-// Two-way queries. The sequential two-way paths need no scratch at all; they
-// share the free functions' hot loops, adding only the executor's stats
-// recording (skipped entirely on the nil fast path when stats are disabled).
+// The two-set operator and its instrumentation seam.
+// ---------------------------------------------------------------------------
+
+// strategy selects a seg×seg pair's algorithm: per pair (stratAuto — the
+// planner's pick, or the static skew rule without one) or forced.
+type strategy uint8
+
+const (
+	stratAuto  strategy = iota
+	stratMerge          // FESIAmerge: bitmap AND + segment kernels
+	stratHash           // FESIAhash: the smaller side probes the larger
+)
+
+// armStats maps a strategy arm to its query counter and latency histogram.
+var armStats = [...]struct {
+	queries stats.Counter
+	lat     stats.LatHist
+}{
+	trace.ArmMerge: {stats.CtrQueriesMerge, stats.LatMerge},
+	trace.ArmHash:  {stats.CtrQueriesHash, stats.LatHash},
+	trace.ArmKWay:  {stats.CtrQueriesKWay, stats.LatKWay},
+	trace.ArmCross: {stats.CtrQueriesCross, stats.LatCross},
+}
+
+// begin reads the clock when the query is instrumented (stats, a trace cell
+// or a measured planner choice); the zero time, with no clock read,
+// otherwise.
+func (e *Executor) begin(ch planner.Choice) time.Time {
+	if e.st != nil || e.tr != nil || ch.Measure() {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// finish is the one instrumentation seam of a completed query: a single
+// clock read feeds the strategy's stats counter and latency, the trace span
+// and the planner feedback alike. Cancelled queries never reach it — their
+// partial latency would skew the model.
+func (e *Executor) finish(arm uint8, start time.Time, ch planner.Choice, v1, v2 int) {
+	if e.st == nil && e.tr == nil && !ch.Measure() {
+		return
+	}
+	el := time.Since(start)
+	if e.st != nil {
+		e.st.Inc(armStats[arm].queries)
+		e.st.Observe(armStats[arm].lat, el)
+	}
+	if e.tr != nil {
+		e.tr.Span(trace.KindStrategy, arm, 0, start, el, uint64(v1), uint64(v2))
+	}
+	if ch.Measure() {
+		e.plan.Record(ch, el)
+	}
+}
+
+// pair is the one two-set operator behind every Count, Intersect and Visit
+// form, plain or context-aware: it writes a ∩ b into the (dst, emit) sink and
+// returns the match count. strat forces a seg×seg strategy or, with
+// stratAuto, lets the planner or the static skew rule pick; pairs involving
+// a non-segmented set take the cross-representation matrix (hybrid.go). A
+// nil ctx is never cancelled; otherwise it is checked once per ctxWordBlock
+// bitmap words or ctxProbeBlock probes, and a cancelled query returns
+// (0, ctx.Err()) with dst holding unspecified partial data.
+func (e *Executor) pair(ctx context.Context, strat strategy, a, b *Set, dst []uint32, emit Visitor) (int, error) {
+	compatible(a, b)
+	if err := checkpoint(ctx); err != nil {
+		return 0, e.noteCancel(err)
+	}
+	arm := uint8(trace.ArmCross)
+	var ch planner.Choice
+	if !crossPair(a, b) {
+		hash := strat == stratHash
+		if strat == stratAuto {
+			ch, hash = planSegSeg(e.plan, e.st, a, b)
+			tracePlanSegSeg(e.tr, e.plan, ch, a, b)
+		}
+		arm = trace.ArmMerge
+		if hash {
+			arm = trace.ArmHash
+		}
+	}
+	start := e.begin(ch)
+	var n, v1, v2 int
+	var err error
+	switch arm {
+	case trace.ArmCross:
+		n, err = crossRun(ctx, e.plan, &e.denseAnd, a, b, dst, emit, e.st)
+	case trace.ArmHash:
+		small, large := bySize(a, b)
+		n, err = hashProbe(ctx, small.reordered, large, dst, emit, e.st)
+		v1, v2 = small.n, large.n
+	default:
+		x, y := ordered(a, b)
+		n, v1, err = mergeRange(ctx, x, y, 0, len(x.bm.Words()), dst, emit, e.st, e.kernelShard())
+		v2 = x.bm.NumSegments()
+	}
+	if err != nil {
+		return 0, e.noteCancel(err)
+	}
+	if e.tr != nil && arm != trace.ArmCross {
+		e.tr.Event(trace.KindKernel, arm, 0, uint64(v1), uint64(v2))
+	}
+	e.finish(arm, start, ch, a.n, b.n)
+	return n, nil
+}
+
+// bySize orders a pair by element count: the hash strategy's probing side
+// first.
+func bySize(a, b *Set) (small, large *Set) {
+	if a.n > b.n {
+		return b, a
+	}
+	return a, b
+}
+
+// ---------------------------------------------------------------------------
+// Two-way queries.
 // ---------------------------------------------------------------------------
 
 // Count returns |a ∩ b| with the adaptively chosen strategy (FESIAmerge vs
 // FESIAhash, Fig. 11 crossover; the live cost model when a planner is
 // attached). Zero heap allocations.
 func (e *Executor) Count(a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	start := planStart(ch)
-	var n int
-	if hash {
-		n = e.CountHash(a, b)
-	} else {
-		n = e.CountMerge(a, b)
-	}
-	planRecord(e.plan, ch, start)
+	n, _ := e.pair(nil, stratAuto, a, b, nil, nil)
 	return n
 }
 
 // CountMerge forces the two-step FESIAmerge strategy. Zero heap allocations.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
 func (e *Executor) CountMerge(a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
-	if e.st == nil {
-		return CountMerge(a, b)
-	}
-	start := time.Now()
-	compatible(a, b)
-	x, y := ordered(a, b)
-	n := countMergeRange(x, y, 0, len(x.bm.Words()), e.st, e.kernelShard())
-	observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
+	n, _ := e.pair(nil, stratMerge, a, b, nil, nil)
 	return n
 }
 
 // CountHash forces the per-element FESIAhash strategy. Zero heap allocations.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
 func (e *Executor) CountHash(a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
-	if e.st == nil {
-		return CountHash(a, b)
-	}
-	start := time.Now()
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	n := hashProbeRange(small, large, 0, small.n, nil, e.st)
-	observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
+	n, _ := e.pair(nil, stratHash, a, b, nil, nil)
 	return n
 }
 
@@ -199,36 +320,9 @@ func (e *Executor) CountHash(a, b *Set) int {
 // in segment order, not ascending value order (see IntersectMerge). Zero heap
 // allocations.
 func (e *Executor) Intersect(dst []uint32, a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossIntersect(dst, a, b)
-	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	if e.st == nil && !ch.Measure() {
-		if hash {
-			return IntersectHash(dst, a, b)
-		}
-		return IntersectMerge(dst, a, b)
-	}
-	start := time.Now()
-	var n int
-	if hash {
-		n = IntersectHash(dst, a, b)
-		if e.st != nil {
-			observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
-		}
-	} else {
-		n = IntersectMerge(dst, a, b)
-		if e.st != nil {
-			observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
-		}
-	}
-	planRecord(e.plan, ch, start)
+	n, _ := e.pair(nil, stratAuto, a, b, dst, nil)
 	return n
 }
-
-// ---------------------------------------------------------------------------
-// Streaming visitors: results flow through emit as they are produced.
-// ---------------------------------------------------------------------------
 
 // Visit streams a ∩ b through emit with the adaptive strategy. Emission order
 // matches what Intersect would have written: segment order of the
@@ -236,178 +330,92 @@ func (e *Executor) Intersect(dst []uint32, a, b *Set) int {
 // each segment. Allocation-free once warm (the emit closure itself is the
 // caller's).
 func (e *Executor) Visit(a, b *Set, emit Visitor) {
-	if crossPair(a, b) {
-		e.crossVisit(a, b, emit)
-		return
-	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	start := planStart(ch)
-	if hash {
-		e.VisitHash(a, b, emit)
-	} else {
-		e.VisitMerge(a, b, emit)
-	}
-	planRecord(e.plan, ch, start)
-}
-
-// VisitMerge streams the two-step FESIAmerge intersection through emit: each
-// surviving segment pair's matches stream from the segment kernel straight
-// into emit, so no per-query result slice exists.
-// Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func (e *Executor) VisitMerge(a, b *Set, emit Visitor) {
-	if crossPair(a, b) {
-		e.crossVisit(a, b, emit)
-		return
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	st := e.st
-	kst := e.kernelShard()
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
-	pairs := 0
-	forEachSegPair(x, y, func(sx, sy int) {
-		pairs++
-		if kst != nil {
-			kst.Kernel(int(x.sizes[sx]), int(y.sizes[sy]))
-		}
-		kernels.Visit(x.segment(sx), y.segment(sy), emit)
-	})
-	if st != nil {
-		st.Add(stats.CtrSegPairs, uint64(pairs))
-		st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-		observeSince(st, stats.CtrQueriesMerge, stats.LatMerge, start)
-	}
-}
-
-// VisitHash streams the skewed-input FESIAhash intersection through emit, in
-// the smaller set's segment order. Cross-representation pairs route to the
-// dispatch matrix (hybrid.go).
-func (e *Executor) VisitHash(a, b *Set, emit Visitor) {
-	if crossPair(a, b) {
-		e.crossVisit(a, b, emit)
-		return
-	}
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	if e.st == nil {
-		hashProbeRange(small, large, 0, small.n, emit, nil)
-		return
-	}
-	start := time.Now()
-	hashProbeRange(small, large, 0, small.n, emit, e.st)
-	observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
-}
-
-// VisitK streams the k-way intersection through emit, in the largest-bitmap
-// set's segment order (the order IntersectK writes).
-func (e *Executor) VisitK(emit Visitor, sets ...*Set) {
-	switch len(sets) {
-	case 0:
-		panic("core: intersection of zero sets")
-	case 1:
-		sets[0].visitAll(emit)
-		return
-	case 2:
-		e.VisitMerge(sets[0], sets[1], emit)
-		return
-	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	sink := func(cur []uint32) {
-		for _, v := range cur {
-			emit(v)
-		}
-	}
-	if anyCross(sets) {
-		e.kwayAnyChain(sets, sink)
-	} else {
-		e.kwayChain(sets, sink)
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
-	}
+	e.pair(nil, stratAuto, a, b, nil, emit)
 }
 
 // ---------------------------------------------------------------------------
 // k-way intersection (Section VI) on reusable chain buffers.
 // ---------------------------------------------------------------------------
 
-// CountK returns |s1 ∩ s2 ∩ ... ∩ sk| (Proposition 2: O(kn/√w + r)). Zero
-// heap allocations once the chain buffers have grown to the workload's
-// largest segment.
+// CountK returns |s1 ∩ s2 ∩ ... ∩ sk| (Proposition 2: O(kn/√w + r)); two sets
+// take the adaptive pair strategy. Zero heap allocations once the chain
+// buffers have grown to the workload's largest segment.
 func (e *Executor) CountK(sets ...*Set) int {
-	switch len(sets) {
-	case 0:
-		panic("core: intersection of zero sets")
-	case 1:
-		return sets[0].n
-	case 2:
-		return e.CountMerge(sets[0], sets[1])
-	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	total := 0
-	sink := func(cur []uint32) { total += len(cur) }
-	if anyCross(sets) {
-		e.kwayAnyChain(sets, sink)
-	} else {
-		e.kwayChain(sets, sink)
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
-	}
-	return total
+	n, _ := e.kSets(nil, sets, nil, nil)
+	return n
 }
 
 // IntersectK writes the k-way intersection into dst and returns the count.
 // dst must be non-nil with room for the smallest set's length. Results are in
-// segment order of the largest-bitmap set. Zero heap allocations once warm.
+// segment order of the largest-bitmap set (two sets take the merge strategy,
+// which keeps that order). Zero heap allocations once warm.
 func (e *Executor) IntersectK(dst []uint32, sets ...*Set) int {
 	if dst == nil {
 		panic("core: IntersectK requires a destination buffer")
 	}
+	n, _ := e.kSets(nil, sets, dst, nil)
+	return n
+}
+
+// VisitK streams the k-way intersection through emit, in the order
+// IntersectK writes.
+func (e *Executor) VisitK(emit Visitor, sets ...*Set) {
+	e.kSets(nil, sets, nil, emit)
+}
+
+// kSets is the one k-set operator behind CountK, IntersectK, VisitK and
+// CountKCtx: one set is itself, two sets run the pair operator (adaptive
+// when counting, merge order when materializing or visiting), three or more
+// run the k-way chain.
+func (e *Executor) kSets(ctx context.Context, sets []*Set, dst []uint32, emit Visitor) (int, error) {
 	switch len(sets) {
 	case 0:
 		panic("core: intersection of zero sets")
 	case 1:
-		return sets[0].materialize(dst)
+		if err := checkpoint(ctx); err != nil {
+			return 0, err
+		}
+		if dst != nil {
+			return sets[0].materialize(dst), nil
+		}
+		if emit != nil {
+			sets[0].visitAll(emit)
+		}
+		return sets[0].n, nil
 	case 2:
-		return IntersectMerge(dst, sets[0], sets[1])
+		strat := stratMerge
+		if dst == nil && emit == nil {
+			strat = stratAuto
+		}
+		return e.pair(ctx, strat, sets[0], sets[1], dst, emit)
 	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
+	if err := checkpoint(ctx); err != nil {
+		return 0, e.noteCancel(err)
 	}
-	total := 0
-	sink := func(cur []uint32) {
-		copy(dst[total:], cur)
-		total += len(cur)
-	}
+	start := e.begin(planner.Choice{})
+	var n int
+	var err error
 	if anyCross(sets) {
-		e.kwayAnyChain(sets, sink)
+		n, err = e.kwayAnyChain(ctx, sets, dst, emit)
 	} else {
-		e.kwayChain(sets, sink)
+		x, rest, maxSeg := e.kwayPrepare(sets)
+		buf1, buf2 := e.chains(maxSeg)
+		n, err = blocks(ctx, len(x.bm.Words()), ctxWordBlock, dst, func(lo, hi int, dst []uint32) int {
+			return kwayChainRange(e.maps, x, rest, lo, hi, buf1, buf2, dst, emit)
+		})
 	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
+	if err != nil {
+		return 0, e.noteCancel(err)
 	}
-	return total
+	e.finish(trace.ArmKWay, start, planner.Choice{}, len(sets), n)
+	return n, nil
 }
 
-// orderByBitmap fills e.ord with sets sorted by bitmap size descending — the
-// largest drives the word loop and every smaller bitmap wraps (Section III-C
-// generalized to k maps) — and e.maps with the matching bitmaps.
-func (e *Executor) orderByBitmap(sets []*Set) {
+// kwayPrepare orders the sets by bitmap size descending — the largest drives
+// the word loop and every smaller bitmap wraps (Section III-C generalized to
+// k maps) — fills e.maps with the matching bitmaps, and returns the driving
+// set, the others, and the chain buffer size the chain needs.
+func (e *Executor) kwayPrepare(sets []*Set) (x *Set, rest []*Set, maxSeg int) {
 	for _, s := range sets[1:] {
 		compatible(sets[0], s)
 	}
@@ -421,58 +429,42 @@ func (e *Executor) orderByBitmap(sets []*Set) {
 	e.maps = e.maps[:0]
 	for _, s := range ord {
 		e.maps = append(e.maps, s.bm)
-	}
-}
-
-// kwayChain runs the k-way bitmap AND and, for every surviving segment whose
-// pairwise kernel chain stays non-empty, hands the final chained list to
-// sink. It is the shared core of CountK, IntersectK and VisitK (k >= 3).
-func (e *Executor) kwayChain(sets []*Set, sink func(cur []uint32)) {
-	x, rest := e.kwayPrepare(sets)
-	e.kwayChainRange(x, rest, 0, len(x.bm.Words()), sink)
-}
-
-// kwayPrepare orders the sets, fills e.maps, and sizes the chain buffers —
-// the shared setup of kwayChain and the context-aware CountKCtx.
-func (e *Executor) kwayPrepare(sets []*Set) (x *Set, rest []*Set) {
-	e.orderByBitmap(sets)
-	x = e.ord[0]
-	rest = e.ord[1:]
-	maxSeg := x.maxSeg
-	for _, s := range rest {
 		maxSeg = max(maxSeg, s.maxSeg)
 	}
-	e.chain1 = growU32(e.chain1, max(maxSeg, 1))
-	e.chain2 = growU32(e.chain2, max(maxSeg, 1))
-	return x, rest
+	return ord[0], ord[1:], max(maxSeg, 1)
 }
 
-// kwayChainRange runs the k-way chain over words [wordLo, wordHi) of the
-// largest bitmap, on buffers sized by kwayPrepare.
-func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, sink func(cur []uint32)) {
-	buf1, buf2 := e.chain1, e.chain2
-	bitmap.ForEachIntersectingSegmentKRange(e.maps, wordLo, wordHi, func(seg int) {
+// chains sizes and returns the scratch's two k-way chain buffers.
+func (s *scratch) chains(n int) (buf1, buf2 []uint32) {
+	s.chain1 = growU32(s.chain1, n)
+	s.chain2 = growU32(s.chain2, n)
+	return s.chain1, s.chain2
+}
+
+// kwayChainRange runs the k-way chain over words [lo, hi) of the largest
+// bitmap: every segment surviving the k-way AND has its element lists
+// intersected pairwise with the segment kernel, ping-ponging between buf1
+// and buf2, and a non-empty final list goes to the (dst, emit) sink. Returns
+// the match count.
+func kwayChainRange(maps []*bitmap.Bitmap, x *Set, rest []*Set, lo, hi int, buf1, buf2, dst []uint32, emit Visitor) int {
+	total := 0
+	bitmap.ForEachIntersectingSegmentKRange(maps, lo, hi, func(seg int) {
 		cur := x.segment(seg)
-		n := len(cur)
 		out := buf1
 		for _, s := range rest {
-			sseg := s.segment(seg & (s.bm.NumSegments() - 1))
-			n = kernels.Intersect(out, cur, sseg)
-			if n == 0 {
-				break
+			cur = out[:kernels.Intersect(out, cur, s.segment(seg&(s.bm.NumSegments()-1)))]
+			if len(cur) == 0 {
+				return
 			}
-			cur = out[:n]
 			if &out[0] == &buf1[0] {
 				out = buf2
 			} else {
 				out = buf1
 			}
 		}
-		if n == 0 {
-			return
-		}
-		sink(cur[:n])
+		total += putAll(cur, tail(dst, total), emit)
 	})
+	return total
 }
 
 // ---------------------------------------------------------------------------
@@ -484,232 +476,55 @@ func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, sink 
 // spawned; pool workers are reused across calls. Cross-representation pairs
 // have no bitmap to partition; they run serially on the dispatch matrix.
 func (e *Executor) CountMergeParallel(a, b *Set, workers int) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
 	compatible(a, b)
-	x, y := ordered(a, b)
-	words := len(x.bm.Words())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > words {
-		workers = words
-	}
-	if workers == 1 {
+	if crossPair(a, b) {
 		return e.CountMerge(a, b)
 	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
+	x, y := ordered(a, b)
+	words := len(x.bm.Words())
+	workers = min(workers, words)
+	if workers <= 1 {
+		return e.CountMerge(a, b)
 	}
+	start := e.begin(planner.Choice{})
 	sampled := e.kernelSampled()
-	e.ensureWorkers(workers)
-	chunk := (words + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		ws := &e.workers[w]
+	n := e.split(words, workers, func(ws *scratch, lo, hi int) int {
 		kst := ws.st
 		if !sampled {
 			kst = nil
 		}
-		ws.count = countMergeRange(x, y, lo, hi, ws.st, kst)
-	})
-	total := 0
-	for w := 0; w < workers; w++ {
-		total += e.workers[w].count
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
-	}
-	return total
-}
-
-// IntersectMergeParallel is IntersectMerge across `workers` pool parts.
-// Workers materialize disjoint word ranges into their persistent buffers,
-// which are concatenated in range order, so the output matches
-// IntersectMerge. Each worker pre-sizes its buffer from the per-range segment
-// size totals (a cheap bitmap pre-pass) instead of growing it by repeated
-// appends. Cross-representation pairs run serially on the dispatch matrix.
-func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) int {
-	if crossPair(a, b) {
-		return e.crossIntersect(dst, a, b)
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	words := len(x.bm.Words())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > words {
-		workers = words
-	}
-	if workers == 1 {
-		if e.st == nil {
-			return IntersectMerge(dst, a, b)
-		}
-		start := time.Now()
-		n := IntersectMerge(dst, a, b)
-		observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
+		n, _, _ := mergeRange(nil, x, y, lo, hi, nil, nil, ws.st, kst)
 		return n
-	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	e.ensureWorkers(workers)
-	chunk := (words + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
-		ws := &e.workers[w]
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		// Pre-size from per-range segment totals: the sum of
-		// min(|segA|, |segB|) over the range's surviving pairs bounds the
-		// range's output exactly, and reading two size arrays is far cheaper
-		// than the kernel pass that follows.
-		bound := 0
-		forEachSegPairRange(x, y, lo, hi, func(sx, sy int) {
-			bound += int(min(x.sizes[sx], y.sizes[sy]))
-		})
-		ws.buf = growU32(ws.buf, bound)
-		n := 0
-		forEachSegPairRange(x, y, lo, hi, func(sx, sy int) {
-			n += kernels.Intersect(ws.buf[n:], x.segment(sx), y.segment(sy))
-		})
-		ws.count = n
 	})
-	total := 0
-	for w := 0; w < workers; w++ {
-		ws := &e.workers[w]
-		total += copy(dst[total:], ws.buf[:ws.count])
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
-	}
-	return total
-}
-
-// CountHashParallel applies the skewed-input strategy with the smaller set's
-// elements partitioned across `workers` pool parts. Cross-representation
-// pairs run serially on the dispatch matrix.
-func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > small.n {
-		workers = small.n
-	}
-	if workers <= 1 {
-		return e.CountHash(a, b)
-	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	e.ensureWorkers(workers)
-	chunk := (small.n + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
-		lo := w * chunk
-		hi := min(lo+chunk, small.n)
-		e.workers[w].count = hashProbeRange(small, large, lo, hi, nil, e.workers[w].st)
-	})
-	total := 0
-	for w := 0; w < workers; w++ {
-		total += e.workers[w].count
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
-	}
-	return total
+	e.finish(trace.ArmMerge, start, planner.Choice{}, a.n, b.n)
+	return n
 }
 
 // CountKParallel is CountK with the largest bitmap's words partitioned across
 // `workers` pool parts, each chaining the pairwise segment intersections in
 // its persistent private buffers.
 func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
-	switch len(sets) {
-	case 0:
-		panic("core: intersection of zero sets")
-	case 1:
-		return sets[0].n
-	case 2:
+	switch {
+	case len(sets) == 2:
 		return e.CountMergeParallel(sets[0], sets[1], workers)
-	}
-	if anyCross(sets) {
+	case len(sets) < 2 || anyCross(sets):
 		// Mixed representations have no shared bitmap to partition; the
 		// serial membership-compaction chain handles them.
 		return e.CountK(sets...)
 	}
-	e.orderByBitmap(sets)
-	x := e.ord[0]
-	rest := e.ord[1:]
+	x, rest, maxSeg := e.kwayPrepare(sets)
 	words := len(x.bm.Words())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > words {
-		workers = words
-	}
-	if workers == 1 {
+	workers = min(workers, words)
+	if workers <= 1 {
 		return e.CountK(sets...)
 	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	maxSeg := x.maxSeg
-	for _, s := range rest {
-		maxSeg = max(maxSeg, s.maxSeg)
-	}
-	e.ensureWorkers(workers)
-	maps := e.maps
-	chunk := (words + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
-		ws := &e.workers[w]
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		ws.chain1 = growU32(ws.chain1, max(maxSeg, 1))
-		ws.chain2 = growU32(ws.chain2, max(maxSeg, 1))
-		buf1, buf2 := ws.chain1, ws.chain2
-		total := 0
-		bitmap.ForEachIntersectingSegmentKRange(maps, lo, hi, func(seg int) {
-			cur := x.segment(seg)
-			n := len(cur)
-			out := buf1
-			for _, s := range rest {
-				sseg := s.segment(seg & (s.bm.NumSegments() - 1))
-				n = kernels.Intersect(out, cur, sseg)
-				if n == 0 {
-					break
-				}
-				cur = out[:n]
-				if &out[0] == &buf1[0] {
-					out = buf2
-				} else {
-					out = buf1
-				}
-			}
-			total += n
-		})
-		ws.count = total
+	start := e.begin(planner.Choice{})
+	n := e.split(words, workers, func(ws *scratch, lo, hi int) int {
+		buf1, buf2 := ws.chains(maxSeg)
+		return kwayChainRange(e.maps, x, rest, lo, hi, buf1, buf2, nil, nil)
 	})
-	total := 0
-	for w := 0; w < workers; w++ {
-		total += e.workers[w].count
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
-	}
-	return total
+	e.finish(trace.ArmKWay, start, planner.Choice{}, len(sets), n)
+	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -718,11 +533,12 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 
 var defaultExecutors = sync.Pool{New: func() any { return NewExecutor() }}
 
-func getExecutor() *Executor {
+// pooled runs fn on a pooled default executor. Pooled executors attach to
+// the process-global stats sink and planner like any other.
+func pooled[T any](fn func(e *Executor) T) T {
 	e := defaultExecutors.Get().(*Executor)
+	defer defaultExecutors.Put(e)
 	e.maybeAttachStats()   // pooled executors may predate EnableStats
 	e.maybeAttachPlanner() // ... or EnablePlanner
-	return e
+	return fn(e)
 }
-
-func putExecutor(e *Executor) { defaultExecutors.Put(e) }

@@ -48,8 +48,8 @@ func TestExecutorAllocs(t *testing.T) {
 		{"Intersect", func() { e.Intersect(dst, sa, sb) }},
 		{"CountK", func() { e.CountK(ks...) }},
 		{"IntersectK", func() { e.IntersectK(dst, ks...) }},
-		{"VisitMerge", func() { e.VisitMerge(sa, sb, func(uint32) {}) }},
-		{"VisitHash", func() { e.VisitHash(sc, sa, func(uint32) {}) }},
+		{"Visit/merge", func() { e.pair(nil, stratMerge, sa, sb, nil, func(uint32) {}) }},
+		{"Visit/hash", func() { e.pair(nil, stratHash, sc, sa, nil, func(uint32) {}) }},
 		{"VisitK", func() { e.VisitK(func(uint32) {}, ks...) }},
 	}
 	for _, c := range cases {
@@ -79,8 +79,8 @@ func TestVisitorSliceParity(t *testing.T) {
 			}
 		}
 
-		check("merge", IntersectMerge(dst, sa, sb), func(emit Visitor) { e.VisitMerge(sa, sb, emit) })
-		check("hash", IntersectHash(dst, sc, sa), func(emit Visitor) { e.VisitHash(sc, sa, emit) })
+		check("merge", IntersectMerge(dst, sa, sb), func(emit Visitor) { e.pair(nil, stratMerge, sa, sb, nil, emit) })
+		check("hash", intersectHash(dst, sc, sa), func(emit Visitor) { e.pair(nil, stratHash, sc, sa, nil, emit) })
 		check("adaptive", Intersect(dst, sc, sa), func(emit Visitor) { e.Visit(sc, sa, emit) })
 		check("kway", e.IntersectK(dst, sa, sb, sc), func(emit Visitor) { e.VisitK(emit, sa, sb, sc) })
 		check("kway1", e.IntersectK(dst, sa), func(emit Visitor) { e.VisitK(emit, sa) })
@@ -110,32 +110,8 @@ func TestExecutorMatchesFreeFunctions(t *testing.T) {
 			if got, want := e.CountMergeParallel(sa, sb, workers), CountMerge(sa, sb); got != want {
 				t.Fatalf("trial %d workers %d: CountMergeParallel = %d, want %d", trial, workers, got, want)
 			}
-			if got, want := e.CountHashParallel(sa, sb, workers), CountHash(sa, sb); got != want {
-				t.Fatalf("trial %d workers %d: CountHashParallel = %d, want %d", trial, workers, got, want)
-			}
 			if got, want := e.CountKParallel(workers, sa, sb, sc), CountK(sa, sb, sc); got != want {
 				t.Fatalf("trial %d workers %d: CountKParallel = %d, want %d", trial, workers, got, want)
-			}
-		}
-	}
-}
-
-// TestIntersectMergeParallelPresized checks the pre-sized parallel
-// materialization against the sequential path, including output order.
-func TestIntersectMergeParallelPresized(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	e := NewExecutor()
-	for trial := 0; trial < 20; trial++ {
-		cfg := Config{Width: simd.WidthAVX}
-		sa := MustNewSet(randSet(rng, 2000+rng.Intn(2000), 1<<15), cfg)
-		sb := MustNewSet(randSet(rng, 2000+rng.Intn(2000), 1<<15), cfg)
-		want := make([]uint32, 4000)
-		wn := IntersectMerge(want, sa, sb)
-		got := make([]uint32, 4000)
-		for _, workers := range []int{2, 3, 8} {
-			gn := e.IntersectMergeParallel(got, sa, sb, workers)
-			if !slices.Equal(got[:gn], want[:wn]) {
-				t.Fatalf("trial %d workers %d: parallel output differs from sequential", trial, workers)
 			}
 		}
 	}
@@ -164,10 +140,10 @@ func FuzzVisitParity(f *testing.F) {
 		switch mode % 3 {
 		case 0:
 			n = IntersectMerge(dst, sa, sb)
-			e.VisitMerge(sa, sb, func(v uint32) { got = append(got, v) })
+			e.pair(nil, stratMerge, sa, sb, nil, func(v uint32) { got = append(got, v) })
 		case 1:
-			n = IntersectHash(dst, sa, sb)
-			e.VisitHash(sa, sb, func(v uint32) { got = append(got, v) })
+			n = intersectHash(dst, sa, sb)
+			e.pair(nil, stratHash, sa, sb, nil, func(v uint32) { got = append(got, v) })
 		case 2:
 			n = e.IntersectK(dst, sa, sb)
 			e.VisitK(func(v uint32) { got = append(got, v) }, sa, sb)

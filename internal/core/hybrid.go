@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/bits"
-	"slices"
 	"time"
 
 	"fesia/internal/kernels"
@@ -29,11 +28,14 @@ import (
 //	dense×dense  word-AND over the overlapping span via simd.AndWords, then
 //	             popcount (count) or bit decode (materialize/visit)
 //
-// All paths are allocation-free once the executor's dense-AND scratch has
-// grown to the workload's largest overlap (the same warm-executor contract as
-// the segmented paths). Result order is ascending for array- and dense-driven
-// pairs and segment order when a segmented set's reordered array drives the
-// loop; as with the classic strategies, callers needing value order sort.
+// Every pair writes into the operator's (dst, emit) sink and takes the same
+// context checkpoints as the seg×seg strategies, so the plain, ctx and batch
+// forms all run this one matrix. All paths are allocation-free once the
+// executor's dense-AND scratch has grown to one word block (the same
+// warm-executor contract as the segmented paths). Result order is ascending
+// for array- and dense-driven pairs and segment order when a segmented set's
+// reordered array drives the loop; as with the classic strategies, callers
+// needing value order sort.
 
 // crossPair reports whether an intersection of a and b takes the
 // cross-representation dispatch matrix instead of the seg×seg strategies.
@@ -85,218 +87,130 @@ func growU64(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
-// denseHas is the dense-representation membership test: in-span bit lookup.
-func (s *Set) denseHas(x uint32) bool {
-	if x < s.base {
-		return false
-	}
-	idx := x - s.base
-	if int(idx>>6) >= len(s.dense) {
-		return false
-	}
-	return s.dense[idx>>6]&(1<<(idx&63)) != 0
-}
-
 // crossRun dispatches one pair intersection where at least one side is
-// non-segmented. With dst non-nil matches are appended there; with emit
-// non-nil they are streamed; with both nil only the count is produced. The
-// match count is returned. denseAnd is the caller's persistent dense-AND
-// scratch (grown in place). st, when non-nil, receives the dispatch-pair
-// counter and, on hash-probing paths, the probe/survivor counters. h, when
-// non-nil, resolves the probe-side decisions of the ×dense pairs through the
-// adaptive planner (the other pairs have a single reasonable driver and stay
-// static).
-func crossRun(h *planner.Handle, denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
+// non-segmented, into the (dst, emit) sink; the match count is returned.
+// denseAnd is the caller's persistent dense-AND scratch (grown in place). st,
+// when non-nil, receives the dispatch-pair counter and, on hash-probing
+// paths, the probe/survivor counters. h, when non-nil, resolves the
+// probe-side decisions of the ×dense pairs through the adaptive planner (the
+// other pairs have a single reasonable driver and stay static). ctx is
+// checked per probe or word block; array×array, a single merge of two
+// arrays, runs unchecked.
+func crossRun(ctx context.Context, h *planner.Handle, denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
 	if st != nil {
 		st.Inc(repPairCounter(a.rep, b.rep))
 	}
 	if a.rep > b.rep {
 		a, b = b, a
 	}
-	if a.n == 0 || b.n == 0 {
-		return 0
-	}
-	switch a.rep {
-	case RepSegmented: // b is array or dense
-		if b.rep == RepArray {
-			return hashProbeElems(b.reordered, a, dst, emit, st)
+	switch {
+	case a.n == 0 || b.n == 0:
+		return 0, nil
+	case a.rep == RepSegmented && b.rep == RepArray:
+		return hashProbe(ctx, b.reordered, a, dst, emit, st)
+	case b.rep == RepArray: // array×array
+		xa, xb := a.reordered, b.reordered
+		switch {
+		case dst != nil:
+			return kernels.Intersect(dst, xa, xb), nil
+		case emit != nil:
+			return kernels.Visit(xa, xb, emit), nil
 		}
-		return segDenseRun(h, a, b, dst, emit, st)
-	case RepArray:
-		if b.rep == RepArray {
-			return arrayArrayRun(a, b, dst, emit)
-		}
-		return arrayDenseRun(h, a, b, dst, emit, st)
+		return kernels.Count(xa, xb), nil
+	case a.rep == RepDense: // dense×dense
+		return denseDenseRun(ctx, denseAnd, a, b, dst, emit)
 	}
-	return denseDenseRun(denseAnd, a, b, dst, emit)
+	return denseMixedRun(ctx, h, a, b, dst, emit, st)
 }
 
-// arrayArrayRun intersects two sorted arrays with the segment kernel: the
-// all-pairs loop when both fit kernels.SmallMax, the scalar merge otherwise.
-// Results are ascending.
-func arrayArrayRun(a, b *Set, dst []uint32, emit Visitor) int {
-	xa, xb := a.reordered, b.reordered
-	if emit != nil {
-		n := 0
-		kernels.GenericVisit(xa, xb, func(v uint32) {
-			n++
-			emit(v)
-		})
-		return n
-	}
-	if dst != nil {
-		return kernels.Intersect(dst, xa, xb)
-	}
-	return kernels.Count(xa, xb)
-}
-
-// arrayDenseRun intersects a sorted array with a dense bitmap. The probing
-// side comes from the planner when a handle is attached (arm 0: array
-// elements bit-test the dense span; arm 1: dense bits binary-search the
-// array), from the smaller-side rule otherwise.
-func arrayDenseRun(h *planner.Handle, arr, den *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
-	fromArray := arr.n <= den.n
+// denseMixedRun intersects a segmented or array set s with a dense bitmap:
+// either the dense bits probe s (hash probe into segmented, binary search
+// into arrays), or s's reordered elements bit-test the dense span. The
+// probing side comes from the planner when a handle is attached
+// (DecSegDense arm 0 and DecArrayDense arm 1 are the dense-driven sides),
+// from the smaller-side rule otherwise.
+func denseMixedRun(ctx context.Context, h *planner.Handle, s, den *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
+	fromDense := den.n < s.n
 	var ch planner.Choice
 	if h != nil {
-		ch = h.Decide(planner.DecArrayDense, arr.n, den.n)
-		notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 0) != fromArray)
-		fromArray = ch.Arm == 0
-	}
-	start := planStart(ch)
-	n := arrayDenseArm(arr, den, fromArray, dst, emit)
-	planRecord(h, ch, start)
-	return n
-}
-
-// arrayDenseArm runs one probing side of an array×dense pair.
-func arrayDenseArm(arr, den *Set, fromArray bool, dst []uint32, emit Visitor) int {
-	n := 0
-	if fromArray {
-		for _, x := range arr.reordered {
-			if den.denseHas(x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
-		}
-		return n
-	}
-	for wi, w := range den.dense {
-		for w != 0 {
-			x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-			w &= w - 1
-			if _, ok := slices.BinarySearch(arr.reordered, x); ok {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
+		if s.rep == RepSegmented {
+			ch = h.Decide(planner.DecSegDense, den.n, s.n)
+			notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
+			fromDense = ch.Arm == 0
+		} else {
+			ch = h.Decide(planner.DecArrayDense, s.n, den.n)
+			notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
+			fromDense = ch.Arm == 1
 		}
 	}
-	return n
-}
-
-// segDenseRun intersects a segmented set with a dense bitmap. The probing
-// side comes from the planner when a handle is attached (arm 0: dense bits
-// hash-probe the segmented set; arm 1: the segmented set's reordered
-// elements bit-test the dense span), from the smaller-side rule otherwise.
-func segDenseRun(h *planner.Handle, seg, den *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
-	fromDense := den.n < seg.n
-	var ch planner.Choice
-	if h != nil {
-		ch = h.Decide(planner.DecSegDense, den.n, seg.n)
-		notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
-		fromDense = ch.Arm == 0
-	}
 	start := planStart(ch)
-	n := segDenseArm(seg, den, fromDense, dst, emit, st)
-	planRecord(h, ch, start)
-	return n
-}
-
-// segDenseArm runs one probing side of a seg×dense pair.
-func segDenseArm(seg, den *Set, fromDense bool, dst []uint32, emit Visitor, st *stats.Shard) int {
-	n := 0
+	var n int
+	var err error
 	if fromDense {
-		probes := 0
-		for wi, w := range den.dense {
-			for w != 0 {
-				x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-				w &= w - 1
-				probes++
-				if seg.Contains(x) {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-					if emit != nil {
-						emit(x)
+		n, err = blocks(ctx, len(den.dense), ctxWordBlock, dst, func(lo, hi int, dst []uint32) int {
+			k := 0
+			for wi := lo; wi < hi; wi++ {
+				for w := den.dense[wi]; w != 0; w &= w - 1 {
+					if x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w)); s.Contains(x) {
+						k = put(dst, k, emit, x)
 					}
 				}
 			}
+			return k
+		})
+		if st != nil && s.rep == RepSegmented && err == nil {
+			st.Add(stats.CtrHashProbes, uint64(den.n))
 		}
-		if st != nil {
-			st.Add(stats.CtrHashProbes, uint64(probes))
-		}
-		return n
-	}
-	for _, x := range seg.reordered {
-		if den.denseHas(x) {
-			if dst != nil {
-				dst[n] = x
+	} else {
+		elems := s.reordered
+		n, err = blocks(ctx, len(elems), ctxProbeBlock, dst, func(lo, hi int, dst []uint32) int {
+			k := 0
+			for _, x := range elems[lo:hi] {
+				if den.Contains(x) {
+					k = put(dst, k, emit, x)
+				}
 			}
-			n++
-			if emit != nil {
-				emit(x)
-			}
-		}
+			return k
+		})
 	}
-	return n
+	if err == nil {
+		// Cancelled passes are partial work; only completed ones feed the
+		// cost model.
+		planRecord(h, ch, start)
+	}
+	return n, err
 }
 
 // denseDenseRun intersects two dense bitmaps: the overlapping word window
 // (bases are 64-aligned, so overlap is word-aligned with no shifting) is
-// ANDed via simd.AndWords into the caller's scratch, then popcounted or
-// decoded. Results are ascending.
-func denseDenseRun(denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor) int {
-	lo, wa, wb, nw := denseOverlap(a, b)
+// ANDed via simd.AndWords into the caller's scratch one ctxWordBlock at a
+// time, then popcounted or decoded. Results are ascending.
+func denseDenseRun(ctx context.Context, denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor) (int, error) {
+	base, wa, wb, nw := denseOverlap(a, b)
 	if nw <= 0 {
-		return 0
+		return 0, nil
 	}
-	buf := growU64(*denseAnd, nw)
+	buf := growU64(*denseAnd, min(nw, ctxWordBlock))
 	*denseAnd = buf
-	nonZero := simd.AndWords(buf, a.dense[wa:wa+nw], b.dense[wb:wb+nw])
-	if nonZero == 0 {
-		return 0
-	}
-	n := 0
-	if dst == nil && emit == nil {
-		for _, w := range buf {
-			n += bits.OnesCount64(w)
+	return blocks(ctx, nw, ctxWordBlock, dst, func(lo, hi int, dst []uint32) int {
+		and := buf[:hi-lo]
+		if simd.AndWords(and, a.dense[wa+lo:wa+hi], b.dense[wb+lo:wb+hi]) == 0 {
+			return 0
 		}
-		return n
-	}
-	for wi, w := range buf {
-		for w != 0 {
-			x := lo + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-			w &= w - 1
-			if dst != nil {
-				dst[n] = x
+		k := 0
+		if dst == nil && emit == nil {
+			for _, w := range and {
+				k += bits.OnesCount64(w)
 			}
-			n++
-			if emit != nil {
-				emit(x)
+			return k
+		}
+		for wi, w := range and {
+			for ; w != 0; w &= w - 1 {
+				k = put(dst, k, emit, base+uint32(lo+wi)<<6+uint32(simd.Tzcnt64(w)))
 			}
 		}
-	}
-	return n
+		return k
+	})
 }
 
 // denseOverlap computes the word-aligned overlap window of two dense sets:
@@ -312,61 +226,6 @@ func denseOverlap(a, b *Set) (lo uint32, wa, wb, nw int) {
 		return 0, 0, 0, 0
 	}
 	return uint32(l), int((l - loA) >> 6), int((l - loB) >> 6), int((h - l) >> 6)
-}
-
-// ---------------------------------------------------------------------------
-// Executor entry points: stats recording + scratch ownership.
-// ---------------------------------------------------------------------------
-
-// crossCount is the executor's counting entry into the dispatch matrix.
-func (e *Executor) crossCount(a, b *Set) int {
-	compatible(a, b)
-	if e.st == nil {
-		return crossRun(e.plan, &e.denseAnd, a, b, nil, nil, nil)
-	}
-	start := time.Now()
-	n := crossRun(e.plan, &e.denseAnd, a, b, nil, nil, e.st)
-	observeSince(e.st, stats.CtrQueriesCross, stats.LatCross, start)
-	return n
-}
-
-// crossIntersect materializes a cross-representation intersection into dst.
-func (e *Executor) crossIntersect(dst []uint32, a, b *Set) int {
-	compatible(a, b)
-	if e.st == nil {
-		return crossRun(e.plan, &e.denseAnd, a, b, dst, nil, nil)
-	}
-	start := time.Now()
-	n := crossRun(e.plan, &e.denseAnd, a, b, dst, nil, e.st)
-	observeSince(e.st, stats.CtrQueriesCross, stats.LatCross, start)
-	return n
-}
-
-// crossVisit streams a cross-representation intersection through emit.
-func (e *Executor) crossVisit(a, b *Set, emit Visitor) {
-	compatible(a, b)
-	if e.st == nil {
-		crossRun(e.plan, &e.denseAnd, a, b, nil, emit, nil)
-		return
-	}
-	start := time.Now()
-	crossRun(e.plan, &e.denseAnd, a, b, nil, emit, e.st)
-	observeSince(e.st, stats.CtrQueriesCross, stats.LatCross, start)
-}
-
-// crossCountFree backs the package-level strategy functions for
-// cross-representation pairs, on a pooled default executor.
-func crossCountFree(a, b *Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.crossCount(a, b)
-}
-
-// crossIntersectFree is the materializing counterpart of crossCountFree.
-func crossIntersectFree(dst []uint32, a, b *Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.crossIntersect(dst, a, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -441,25 +300,26 @@ func (e *Executor) kwaySeed(sets []*Set) int {
 // kwayAnyChain is the k-way core for mixed-representation inputs: the seed
 // set (kwaySeed; smallest by default) is materialized into the executor's
 // chain buffer and then compacted in place against every other set's
-// membership test. O(n_seed · k) with O(1) or O(log n) probes — the k-way
-// counterpart of the pair matrix's probe-smaller-side rule. sink receives
-// the final chained list once. With a learned planner attached, sampled
-// queries time each compaction pass to keep the per-representation probe
-// costs fresh.
-func (e *Executor) kwayAnyChain(sets []*Set, sink func(cur []uint32)) {
+// membership test, with a context check before each pass. O(n_seed · k) with
+// O(1) or O(log n) probes — the k-way counterpart of the pair matrix's
+// probe-smaller-side rule. The final chained list goes to the (dst, emit)
+// sink. With a learned planner attached, sampled queries time each
+// compaction pass to keep the per-representation probe costs fresh.
+func (e *Executor) kwayAnyChain(ctx context.Context, sets []*Set, dst []uint32, emit Visitor) (int, error) {
 	for _, s := range sets[1:] {
 		compatible(sets[0], s)
 	}
 	sm := e.kwaySeed(sets)
-	e.chain1 = growU32(e.chain1, max(sets[sm].n, 1))
-	cur := e.chain1[:sets[sm].n]
+	cur, _ := e.chains(max(sets[sm].n, 1))
 	cur = cur[:sets[sm].materialize(cur)]
 	ksample := e.plan != nil && e.plan.SampleKWay()
 	for i, s := range sets {
 		if i == sm || len(cur) == 0 {
 			continue
 		}
-		probes := len(cur)
+		if err := checkpoint(ctx); err != nil {
+			return 0, err
+		}
 		var t0 time.Time
 		if ksample {
 			t0 = time.Now()
@@ -471,210 +331,10 @@ func (e *Executor) kwayAnyChain(sets []*Set, sink func(cur []uint32)) {
 				k++
 			}
 		}
-		cur = cur[:k]
 		if ksample {
-			e.plan.RecordProbe(int(s.rep), time.Since(t0), probes)
-		}
-	}
-	if len(cur) > 0 {
-		sink(cur)
-	}
-}
-
-// kwayAnyChainCtx is kwayAnyChain with a context check before each set's
-// compaction pass. On cancellation *cancelled is set and sink is never
-// called.
-func (e *Executor) kwayAnyChainCtx(ctx context.Context, sets []*Set, sink func(cur []uint32), cancelled *bool) {
-	for _, s := range sets[1:] {
-		compatible(sets[0], s)
-	}
-	sm := e.kwaySeed(sets)
-	e.chain1 = growU32(e.chain1, max(sets[sm].n, 1))
-	cur := e.chain1[:sets[sm].n]
-	cur = cur[:sets[sm].materialize(cur)]
-	for i, s := range sets {
-		if i == sm || len(cur) == 0 {
-			continue
-		}
-		if ctx.Err() != nil {
-			*cancelled = true
-			return
-		}
-		k := 0
-		for _, v := range cur {
-			if s.Contains(v) {
-				cur[k] = v
-				k++
-			}
+			e.plan.RecordProbe(int(s.rep), time.Since(t0), len(cur))
 		}
 		cur = cur[:k]
 	}
-	if len(cur) > 0 {
-		sink(cur)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Context-aware variants: the same matrix with cooperative checkpoints, at
-// the granularity of the classic ctx paths (probe blocks on element-driven
-// loops, word blocks on the dense AND).
-// ---------------------------------------------------------------------------
-
-// crossCountCtx is crossRun's counting form with cooperative cancellation.
-func (e *Executor) crossCountCtx(ctx context.Context, a, b *Set) (int, error) {
-	return e.crossRunCtx(ctx, a, b, nil)
-}
-
-// crossIntersectCtx is crossRun's materializing form with cancellation.
-func (e *Executor) crossIntersectCtx(ctx context.Context, dst []uint32, a, b *Set) (int, error) {
-	return e.crossRunCtx(ctx, a, b, dst)
-}
-
-// crossRunCtx runs one cross-representation pair with a context check per
-// work block. The element-probing pairs chunk the probing side by
-// ctxProbeBlock; dense×dense chunks the word AND by ctxWordBlock. On
-// cancellation it returns (0, ctx.Err()).
-func (e *Executor) crossRunCtx(ctx context.Context, a, b *Set, dst []uint32) (n int, err error) {
-	compatible(a, b)
-	if err := ctx.Err(); err != nil {
-		return 0, e.noteCancel(err)
-	}
-	st := e.st
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-		st.Inc(repPairCounter(a.rep, b.rep))
-	}
-	if a.rep > b.rep {
-		a, b = b, a
-	}
-	if a.n == 0 || b.n == 0 {
-		n, err = 0, nil
-	} else if a.rep == RepDense { // dense×dense
-		n, err = e.denseDenseCtx(ctx, a, b, dst)
-	} else if b.rep == RepDense {
-		// seg×dense / array×dense: pick the probing side — walk the dense
-		// words probing a, or probe a's sorted elements against the dense
-		// span. Planner decision when a handle is attached, the smaller-side
-		// rule otherwise.
-		fromDense := b.n < a.n
-		var ch planner.Choice
-		if h := e.plan; h != nil {
-			if a.rep == RepSegmented {
-				ch = h.Decide(planner.DecSegDense, b.n, a.n)
-				notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
-				fromDense = ch.Arm == 0
-			} else {
-				ch = h.Decide(planner.DecArrayDense, a.n, b.n)
-				notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
-				fromDense = ch.Arm == 1
-			}
-		}
-		pstart := planStart(ch)
-		if fromDense {
-			n, err = e.denseProbeCtx(ctx, b, a, dst)
-		} else {
-			n, err = e.elemsProbeCtx(ctx, a.reordered, b, dst)
-		}
-		if err == nil {
-			// Cancelled passes are partial work; only completed ones feed
-			// the cost model.
-			planRecord(e.plan, ch, pstart)
-		}
-	} else {
-		// seg×array probes one side's sorted element slice against the
-		// other's membership test (hash probe into segmented, binary search
-		// into arrays), from the smaller side.
-		probe, other := a, b
-		if b.n < a.n {
-			probe, other = b, a
-		}
-		n, err = e.elemsProbeCtx(ctx, probe.reordered, other, dst)
-	}
-	if err != nil {
-		return 0, e.noteCancel(err)
-	}
-	if st != nil {
-		observeSince(st, stats.CtrQueriesCross, stats.LatCross, start)
-	}
-	return n, nil
-}
-
-// elemsProbeCtx probes a sorted element slice against any set in
-// ctxProbeBlock chunks, checking the context between chunks.
-func (e *Executor) elemsProbeCtx(ctx context.Context, elems []uint32, other *Set, dst []uint32) (int, error) {
-	n := 0
-	for lo := 0; lo < len(elems); lo += ctxProbeBlock {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		for _, x := range elems[lo:min(lo+ctxProbeBlock, len(elems))] {
-			if other.Contains(x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-			}
-		}
-	}
-	return n, nil
-}
-
-// denseProbeCtx walks a dense set's words in ctxWordBlock chunks, probing
-// each decoded element against other.
-func (e *Executor) denseProbeCtx(ctx context.Context, den, other *Set, dst []uint32) (int, error) {
-	n := 0
-	for lo := 0; lo < len(den.dense); lo += ctxWordBlock {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		hi := min(lo+ctxWordBlock, len(den.dense))
-		for wi := lo; wi < hi; wi++ {
-			w := den.dense[wi]
-			for w != 0 {
-				x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-				w &= w - 1
-				if other.Contains(x) {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-				}
-			}
-		}
-	}
-	return n, nil
-}
-
-// denseDenseCtx is denseDenseRun with the word AND chunked by ctxWordBlock.
-func (e *Executor) denseDenseCtx(ctx context.Context, a, b *Set, dst []uint32) (int, error) {
-	lo, wa, wb, nw := denseOverlap(a, b)
-	if nw <= 0 {
-		return 0, nil
-	}
-	e.denseAnd = growU64(e.denseAnd, min(nw, ctxWordBlock))
-	buf := e.denseAnd
-	n := 0
-	for off := 0; off < nw; off += ctxWordBlock {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		cn := min(ctxWordBlock, nw-off)
-		nonZero := simd.AndWords(buf[:cn], a.dense[wa+off:wa+off+cn], b.dense[wb+off:wb+off+cn])
-		if nonZero == 0 {
-			continue
-		}
-		for wi, w := range buf[:cn] {
-			if dst == nil {
-				n += bits.OnesCount64(w)
-				continue
-			}
-			for w != 0 {
-				dst[n] = lo + uint32(off+wi)<<6 + uint32(simd.Tzcnt64(w))
-				n++
-				w &= w - 1
-			}
-		}
-	}
-	return n, nil
+	return putAll(cur, dst, emit), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -86,9 +87,12 @@ func hybridShapes(rng *rand.Rand) [][2][]uint32 {
 }
 
 // TestHybridPairParity drives every (Rep × Rep) pair through every two-set
-// entry point — free functions, Executor methods, parallel and context
-// variants — and requires exact agreement with the scalar reference.
-// runBothBackends covers the asm and pure-Go kernel paths in one run.
+// entry point — free functions, Executor methods, forced strategies,
+// parallel and context variants — and requires exact agreement with the
+// scalar reference. Every plain form and its ctx form must also write the
+// identical slice (same order) and record identical stats counters, each
+// pair on its own stats-enabled executor. runBothBackends covers the asm and
+// pure-Go kernel paths in one run.
 func TestHybridPairParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	e := NewExecutor()
@@ -115,7 +119,6 @@ func TestHybridPairParity(t *testing.T) {
 				check("free CountMerge", CountMerge(a, b))
 				check("free CountHash", CountHash(a, b))
 				check("CountMergeParallel", e.CountMergeParallel(a, b, 4))
-				check("CountHashParallel", e.CountHashParallel(a, b, 4))
 				check("CountMergeBreakdown", CountMergeBreakdown(a, b).Count)
 				check("CountHashBreakdown", CountHashBreakdown(a, b).Count)
 
@@ -131,29 +134,50 @@ func TestHybridPairParity(t *testing.T) {
 					}
 				}
 				check("free IntersectMerge", IntersectMerge(dst, a, b))
-				check("free IntersectHash", IntersectHash(dst, a, b))
-				check("IntersectMergeParallel", e.IntersectMergeParallel(dst, a, b, 4))
+				check("forced hash Intersect", intersectHash(dst, a, b))
 
 				visited := 0
 				e.Visit(a, b, func(uint32) { visited++ })
 				check("Visit", visited)
-				visited = 0
-				e.VisitMerge(a, b, func(uint32) { visited++ })
-				check("VisitMerge", visited)
-				visited = 0
-				e.VisitHash(a, b, func(uint32) { visited++ })
-				check("VisitHash", visited)
+				for _, s := range []strategy{stratMerge, stratHash} {
+					visited = 0
+					e.pair(nil, s, a, b, nil, func(uint32) { visited++ })
+					check("forced Visit", visited)
+				}
 
-				nc, err := e.CountCtx(context.Background(), a, b)
+				// Plain vs ctx: same slice, same counters.
+				plain, withCtx := NewExecutor(), NewExecutor()
+				plain.EnableStats(stats.New())
+				withCtx.EnableStats(stats.New())
+				ctx := context.Background()
+				dstP := make([]uint32, want+8)
+				dstC := make([]uint32, want+8)
+				nP := plain.Intersect(dstP, a, b)
+				nC, err := withCtx.IntersectIntoCtx(ctx, dstC, a, b)
+				if err != nil || !slices.Equal(dstP[:nP], dstC[:nC]) {
+					t.Fatalf("shape %d %v×%v IntersectIntoCtx wrote %v (%v), Intersect wrote %v",
+						si, ra, rb, dstC[:nC], err, dstP[:nP])
+				}
+				check("IntersectIntoCtx", nC)
+				nc, err := withCtx.CountCtx(ctx, a, b)
 				if err != nil {
 					t.Fatalf("shape %d %v×%v CountCtx: %v", si, ra, rb, err)
 				}
 				check("CountCtx", nc)
-				nc, err = e.IntersectIntoCtx(context.Background(), dst, a, b)
-				if err != nil {
-					t.Fatalf("shape %d %v×%v IntersectIntoCtx: %v", si, ra, rb, err)
+				check("Count(stats)", plain.Count(a, b))
+				sP, sC := plain.Stats(), withCtx.Stats()
+				for c := stats.Counter(0); c < stats.NumCounters; c++ {
+					if sP.Counter(c) != sC.Counter(c) {
+						t.Fatalf("shape %d %v×%v counter %s: plain %d, ctx %d",
+							si, ra, rb, c.Name(), sP.Counter(c), sC.Counter(c))
+					}
 				}
-				check("IntersectIntoCtx", nc)
+				for h := stats.LatHist(0); h < stats.NumLatHists; h++ {
+					if sP.Latency(h).Count != sC.Latency(h).Count {
+						t.Fatalf("shape %d %v×%v latency %s: plain %d, ctx %d",
+							si, ra, rb, h.Name(), sP.Latency(h).Count, sC.Latency(h).Count)
+					}
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"fesia/internal/bitmap"
@@ -16,37 +17,91 @@ import (
 const SkewThreshold = 0.25
 
 // coreChunkBlocks sizes the stack mask buffer of the chunked fast paths in
-// countMergeRange and stageSegPairsRange: 256 blocks = 1024 bitmap words per
-// chunk, matching internal/bitmap's fast filter.
-const coreChunkBlocks = 256
+// mergeRange and stageSegPairs: one checkpoint block of 1024 bitmap words
+// (256 four-word blocks) per chunk, matching internal/bitmap's fast filter.
+const coreChunkBlocks = ctxWordBlock / simd.BlockWords
 
 // CountMerge returns |a ∩ b| using the two-step FESIA algorithm
 // (Algorithm 1): bitmap-level AND, then the segment kernel on the
 // surviving segment pairs. This is the paper's FESIAmerge. Pairs involving a
 // non-segmented set have no merge/hash strategy distinction; they route to
 // the cross-representation dispatch matrix (hybrid.go).
-func CountMerge(a, b *Set) int {
-	if crossPair(a, b) {
-		return crossCountFree(a, b)
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	return countMergeRange(x, y, 0, len(x.bm.Words()), nil, nil)
+//
+// The package-level query functions are compatibility wrappers over a pooled
+// default Executor; callers on a hot path should hold their own Executor to
+// keep its scratch warm.
+func CountMerge(a, b *Set) int { return pooled(func(e *Executor) int { return e.CountMerge(a, b) }) }
+
+// IntersectMerge writes a ∩ b into dst and returns the count. dst must have
+// room for min(a.Len(), b.Len()) elements. Results are emitted in segment
+// order (ascending within each segment); use sort.Slice for value order.
+// Cross-representation pairs route to the dispatch matrix (hybrid.go).
+func IntersectMerge(dst []uint32, a, b *Set) int {
+	return pooled(func(e *Executor) int {
+		n, _ := e.pair(nil, stratMerge, a, b, dst, nil)
+		return n
+	})
 }
 
-// countMergeRange is the hot loop: it fuses the three bitmap-level steps of
-// Section IV (word AND, segment transformation, index extraction) with the
-// segment kernel calls, over words [lo, hi) of the larger bitmap. x must be
-// the larger-bitmap set.
+// CountHash returns |a ∩ b| with the skewed-input strategy of Section VI.
+// Complexity O(min(n1, n2)). This is the paper's FESIAhash.
+// Cross-representation pairs route to the dispatch matrix (hybrid.go).
+func CountHash(a, b *Set) int { return pooled(func(e *Executor) int { return e.CountHash(a, b) }) }
+
+// Count picks the strategy adaptively: the hash probe when one set is
+// dramatically smaller (skew below SkewThreshold), the two-step merge
+// otherwise — matching the FESIAmerge/FESIAhash crossover of Fig. 11.
+func Count(a, b *Set) int { return pooled(func(e *Executor) int { return e.Count(a, b) }) }
+
+// Intersect writes a ∩ b into dst with the adaptively chosen strategy and
+// returns the count.
+func Intersect(dst []uint32, a, b *Set) int {
+	return pooled(func(e *Executor) int { return e.Intersect(dst, a, b) })
+}
+
+// CountK returns |s1 ∩ s2 ∩ ... ∩ sk|. The k bitmaps are ANDed together to
+// prune segments none of which share a bit; the surviving segments'
+// element lists are then intersected pairwise with the segment kernel.
+// Expected work is O(kn/√w + r) (Proposition 2).
+func CountK(sets ...*Set) int { return pooled(func(e *Executor) int { return e.CountK(sets...) }) }
+
+// IntersectK writes the k-way intersection into dst and returns the count.
+// dst must have room for the smallest set's length.
+func IntersectK(dst []uint32, sets ...*Set) int {
+	return pooled(func(e *Executor) int { return e.IntersectK(dst, sets...) })
+}
+
+// CountKParallel is CountK with the largest bitmap's words partitioned
+// across `workers` parts of the persistent shared pool (Section VI's
+// multicore scheme applied to the k-way AND).
+func CountKParallel(workers int, sets ...*Set) int {
+	return pooled(func(e *Executor) int { return e.CountKParallel(workers, sets...) })
+}
+
+// CountMergeParallel is CountMerge across `workers` parts of the shared pool
+// (Section VI, multicore): the larger bitmap's words are partitioned across
+// workers; segments never straddle words, so workers touch disjoint segment
+// pairs.
+func CountMergeParallel(a, b *Set, workers int) int {
+	return pooled(func(e *Executor) int { return e.CountMergeParallel(a, b, workers) })
+}
+
+// mergeRange is the merge strategy's one hot loop: it fuses the three
+// bitmap-level steps of Section IV (word AND, segment transformation, index
+// extraction) with the segment kernel calls, over words [lo, hi) of the
+// larger bitmap, writing into the (dst, emit) sink. x must be the
+// larger-bitmap set. It walks the range in ctxWordBlock-aligned blocks and
+// checks ctx (when non-nil) before each; it returns the match count and the
+// number of surviving segment pairs.
 //
 // st, when non-nil, receives the segment-survival counters at range
 // granularity; the pair tally itself is a register increment kept
 // unconditional so the disabled path stays branch-free. kst, when non-nil,
 // additionally receives the per-pair kernel-dispatch histogram — callers pass
-// it for 1 in stats.KernelSampleRate queries (see Executor.kernelSampled), so
+// it for 1 in stats.KernelSampleRate queries (see scratch.kernelSampled), so
 // the histogram's per-pair cost is paid on a thin sample while every counter
 // stays exact.
-func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
+func mergeRange(ctx context.Context, x, y *Set, lo, hi int, dst []uint32, emit Visitor, st, kst *stats.Shard) (n, pairs int, err error) {
 	xw, yw := x.bm.Words(), y.bm.Words()
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
@@ -62,41 +117,36 @@ func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
 	segShift := uint(simd.Tzcnt32(uint32(segBits))) // log2(segBits)
 	alignMask := segBits - 1
 
-	n := 0
-	pairs := 0
-	i := lo
-	if simd.AsmActive() && len(yw) >= simd.BlockWords && hi-lo >= 2*simd.BlockWords {
-		// Chunked mask-stream fast path: the fused AndSegMasks kernel emits
-		// one live-segment mask per 4-word block into a stack buffer, and the
-		// kernel calls walk the mask stream. Range edges are handled by
-		// computing the full edge block and trimming out-of-range segment
-		// bits (the over-read stays inside the bitmap: word counts on this
-		// path are powers of two >= 2*BlockWords).
-		loDown := lo &^ (simd.BlockWords - 1)
-		hiUp := (hi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
-		var masks [coreChunkBlocks]uint32
-		for cb := loDown; cb < hiUp; {
-			nb := (hiUp - cb) / simd.BlockWords
-			if nb > coreChunkBlocks {
-				nb = coreChunkBlocks
+	// Chunked mask-stream fast path: the fused AndSegMasks kernel emits one
+	// live-segment mask per 4-word block into a stack buffer, and the kernel
+	// calls walk the mask stream. Block edges are handled by computing the
+	// full edge block and trimming out-of-range segment bits (the over-read
+	// stays inside the bitmap: word counts on this path are powers of two
+	// >= 2*BlockWords).
+	fast := simd.AsmActive() && len(yw) >= simd.BlockWords && hi-lo >= 2*simd.BlockWords
+	var masks [coreChunkBlocks]uint32
+	for blo := lo; blo < hi; {
+		bhi := min((blo/ctxWordBlock+1)*ctxWordBlock, hi)
+		if ctx != nil {
+			if err = ctx.Err(); err != nil {
+				break
 			}
-			live := simd.AndSegMasksWrap(masks[:nb], xw, yw, cb, segBits)
-			if live != 0 {
-				if cb < lo {
-					masks[0] &^= 1<<uint((lo-cb)*spw) - 1
+		}
+		if fast {
+			loDown := blo &^ (simd.BlockWords - 1)
+			hiUp := (bhi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
+			nb := (hiUp - loDown) / simd.BlockWords
+			if simd.AndSegMasksWrap(masks[:nb], xw, yw, loDown, segBits) != 0 {
+				if loDown < blo {
+					masks[0] &^= 1<<uint((blo-loDown)*spw) - 1
 				}
-				if end := cb + nb*simd.BlockWords; end > hi {
-					masks[nb-1] &= 1<<uint((hi-(end-simd.BlockWords))*spw) - 1
+				if hiUp > bhi {
+					masks[nb-1] &= 1<<uint((bhi-(hiUp-simd.BlockWords))*spw) - 1
 				}
-				for bi := 0; bi < nb; bi++ {
-					m := masks[bi]
-					if m == 0 {
-						continue
-					}
-					base := (cb + bi*simd.BlockWords) * spw
-					for m != 0 {
+				for bi, m := range masks[:nb] {
+					base := (loDown + bi*simd.BlockWords) * spw
+					for ; m != 0; m &= m - 1 {
 						seg := base + simd.Tzcnt32(m)
-						m &= m - 1
 						segY := seg & segMaskY
 						oa, oaEnd := xo[seg], xo[seg+1]
 						ob, obEnd := yo[segY], yo[segY+1]
@@ -104,90 +154,64 @@ func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
 						if kst != nil {
 							kst.Kernel(int(oaEnd-oa), int(obEnd-ob))
 						}
-						n += kernels.Count(xr[oa:oaEnd], yr[ob:obEnd])
+						sa, sb := xr[oa:oaEnd], yr[ob:obEnd]
+						switch {
+						case dst != nil:
+							n += kernels.Intersect(dst[n:], sa, sb)
+						case emit != nil:
+							n += kernels.Visit(sa, sb, emit)
+						default:
+							n += kernels.Count(sa, sb)
+						}
 					}
 				}
 			}
-			cb += nb * simd.BlockWords
-		}
-		i = hi
-	}
-	for ; i < hi; i++ {
-		w := xw[i] & yw[i&wordMask]
-		if w == 0 {
+			blo = bhi
 			continue
 		}
-		base := i * spw
-		for w != 0 {
-			bit := simd.Tzcnt64(w)
-			segOff := bit &^ alignMask
-			w &^= segClear << uint(segOff)
-			seg := base + segOff>>segShift
-			segY := seg & segMaskY
-			oa, oaEnd := xo[seg], xo[seg+1]
-			ob, obEnd := yo[segY], yo[segY+1]
-			pairs++
-			if kst != nil {
-				kst.Kernel(int(oaEnd-oa), int(obEnd-ob))
+		for i := blo; i < bhi; i++ {
+			w := xw[i] & yw[i&wordMask]
+			base := i * spw
+			for w != 0 {
+				segOff := simd.Tzcnt64(w) &^ alignMask
+				w &^= segClear << uint(segOff)
+				seg := base + segOff>>segShift
+				segY := seg & segMaskY
+				oa, oaEnd := xo[seg], xo[seg+1]
+				ob, obEnd := yo[segY], yo[segY+1]
+				pairs++
+				if kst != nil {
+					kst.Kernel(int(oaEnd-oa), int(obEnd-ob))
+				}
+				sa, sb := xr[oa:oaEnd], yr[ob:obEnd]
+				switch {
+				case dst != nil:
+					n += kernels.Intersect(dst[n:], sa, sb)
+				case emit != nil:
+					n += kernels.Visit(sa, sb, emit)
+				default:
+					n += kernels.Count(sa, sb)
+				}
 			}
-			n += kernels.Count(xr[oa:oaEnd], yr[ob:obEnd])
 		}
+		blo = bhi
 	}
 	if st != nil {
 		st.Add(stats.CtrSegPairs, uint64(pairs))
 		st.Add(stats.CtrSegmentsScanned, uint64((hi-lo)*spw))
 	}
-	return n
+	return n, pairs, err
 }
 
-// IntersectMerge writes a ∩ b into dst and returns the count. dst must have
-// room for min(a.Len(), b.Len()) elements. Results are emitted in segment
-// order (ascending within each segment); use sort.Slice for value order.
-// Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func IntersectMerge(dst []uint32, a, b *Set) int {
-	if crossPair(a, b) {
-		return crossIntersectFree(dst, a, b)
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	n := 0
-	forEachSegPair(x, y, func(sx, sy int) {
-		n += kernels.Intersect(dst[n:], x.segment(sx), y.segment(sy))
+// hashProbe is the hash strategy's one loop: elems (sorted, typically the
+// smaller set's reordered array) each probe large's bitmap, and only
+// elements whose bit is set are compared against the one segment list the
+// bit selects (Section VI). Matches go to the (dst, emit) sink; ctx (when
+// non-nil) is checked every ctxProbeBlock probes.
+func hashProbe(ctx context.Context, elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
+	return blocks(ctx, len(elems), ctxProbeBlock, dst, func(lo, hi int, dst []uint32) int {
+		return hashProbeElems(elems[lo:hi], large, dst, emit, st)
 	})
-	return n
-}
-
-// forEachSegPair streams the surviving segment pairs of the bitmap-level
-// intersection, with x the larger-bitmap set.
-func forEachSegPair(x, y *Set, fn func(sx, sy int)) {
-	bitmap.ForEachIntersectingSegment(x.bm, y.bm, fn)
-}
-
-func forEachSegPairRange(x, y *Set, wordLo, wordHi int, fn func(sx, sy int)) {
-	bitmap.ForEachIntersectingSegmentRange(x.bm, y.bm, wordLo, wordHi, fn)
-}
-
-// hashProbeRange is the one hash-probe loop behind CountHash, IntersectHash,
-// VisitHash and CountHashParallel: elements small.reordered[lo:hi] each probe
-// the larger set's bitmap, and only elements whose bit is set are compared
-// against the one segment list the bit selects (Section VI). Every match is
-// counted and, when emit is non-nil, streamed through it. Returns the match
-// count.
-// All per-probe invariants are hoisted out of the loop: the bitmap word
-// slice, the hasher, and — crucially — the segment divide, which becomes a
-// shift by the precomputed log2(segBits) instead of Bitmap.SegmentOf's
-// division by a variable. The segment slice assembly is additionally cached
-// behind a last-segment check: consecutive probes frequently land in the
-// same segment — notably when the two bitmaps are the same size, so that
-// the smaller set's segment-ordered reordered array maps runs of elements
-// onto one segment of the larger set — and skewed inputs concentrate probes
-// on the dense segments.
-//
-// st, when non-nil, receives the probe/survivor counters (the hash-side
-// selectivity signal); the survivor tally itself is a register increment
-// kept unconditionally so the disabled path stays branch-free.
-func hashProbeRange(small, large *Set, lo, hi int, emit Visitor, st *stats.Shard) int {
-	return hashProbeElems(small.reordered[lo:hi], large, nil, emit, st)
 }
 
 // gatherProbeMaxBits is the largest bitmap the gathered AVX-512 probe stage
@@ -243,32 +267,8 @@ func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor
 				lastSeg = seg
 				segList = reord[offs[seg]:offs[seg+1]]
 			}
-			if len(segList) >= containsCutover {
-				if simd.Contains(segList, x) {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-					if emit != nil {
-						emit(x)
-					}
-				}
-				continue
-			}
-			for _, v := range segList {
-				if v == x {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-					if emit != nil {
-						emit(x)
-					}
-					break
-				}
-				if v > x {
-					break
-				}
+			if segHas(segList, x) {
+				n = put(dst, n, emit, x)
 			}
 		}
 	}
@@ -279,11 +279,7 @@ func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor
 	// Sub-16 tail: the scalar loop finishes the remainder (and adds its own
 	// share of the counters).
 	if done < len(elems) {
-		rest := dst
-		if dst != nil {
-			rest = dst[n:]
-		}
-		n += hashProbeElemsScalar(elems[done:], large, rest, emit, st)
+		n += hashProbeElemsScalar(elems[done:], large, tail(dst, n), emit, st)
 	}
 	return n
 }
@@ -312,32 +308,8 @@ func hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor
 			lastSeg = seg
 			segList = reord[offs[seg]:offs[seg+1]]
 		}
-		if simd.AsmActive() && len(segList) >= containsCutover {
-			if simd.Contains(segList, x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
-			continue
-		}
-		for _, v := range segList {
-			if v == x {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-				break
-			}
-			if v > x {
-				break
-			}
+		if segHas(segList, x) {
+			n = put(dst, n, emit, x)
 		}
 	}
 	if st != nil {
@@ -347,60 +319,23 @@ func hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor
 	return n
 }
 
-// CountHash returns |a ∩ b| with the skewed-input strategy of Section VI.
-// Complexity O(min(n1, n2)). This is the paper's FESIAhash.
-// Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func CountHash(a, b *Set) int {
-	if crossPair(a, b) {
-		return crossCountFree(a, b)
+// segHas reports whether the sorted segment list seg holds x: the assembly
+// compare-all-lanes probe on long lists, the scalar early-exit scan
+// otherwise. It is the survivor scan of every hash-probe loop.
+func segHas(seg []uint32, x uint32) bool {
+	if len(seg) >= containsCutover {
+		return simd.Contains(seg, x)
 	}
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
+	for _, v := range seg {
+		if v >= x {
+			return v == x
+		}
 	}
-	return hashProbeRange(small, large, 0, small.n, nil, nil)
+	return false
 }
 
-// IntersectHash writes a ∩ b into dst using the skewed-input strategy and
-// returns the count. Results follow the smaller set's segment order.
-// Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func IntersectHash(dst []uint32, a, b *Set) int {
-	if crossPair(a, b) {
-		return crossIntersectFree(dst, a, b)
-	}
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	n := 0
-	hashProbeRange(small, large, 0, small.n, func(x uint32) {
-		dst[n] = x
-		n++
-	}, nil)
-	return n
-}
-
-// Count picks the strategy adaptively: the hash probe when one set is
-// dramatically smaller (skew below SkewThreshold), the two-step merge
-// otherwise — matching the FESIAmerge/FESIAhash crossover of Fig. 11.
-func Count(a, b *Set) int {
-	if useHash(a, b) {
-		return CountHash(a, b)
-	}
-	return CountMerge(a, b)
-}
-
-// Intersect writes a ∩ b into dst with the adaptively chosen strategy and
-// returns the count.
-func Intersect(dst []uint32, a, b *Set) int {
-	if useHash(a, b) {
-		return IntersectHash(dst, a, b)
-	}
-	return IntersectMerge(dst, a, b)
-}
-
+// useHash is the static skew rule: the hash strategy when the smaller set is
+// below SkewThreshold of the larger.
 func useHash(a, b *Set) bool {
 	small, large := a.n, b.n
 	if small > large {
@@ -410,79 +345,6 @@ func useHash(a, b *Set) bool {
 		return false
 	}
 	return float64(small) < SkewThreshold*float64(large)
-}
-
-// ---------------------------------------------------------------------------
-// k-way intersection (Section VI).
-// ---------------------------------------------------------------------------
-
-// CountK returns |s1 ∩ s2 ∩ ... ∩ sk|. The k bitmaps are ANDed together to
-// prune segments none of which share a bit; the surviving segments'
-// element lists are then intersected pairwise with the segment kernel.
-// Expected work is O(kn/√w + r) (Proposition 2).
-//
-// This is a compatibility wrapper over a pooled default Executor; callers on
-// a hot path should hold their own Executor to keep its chain buffers warm.
-func CountK(sets ...*Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.CountK(sets...)
-}
-
-// IntersectK writes the k-way intersection into dst and returns the count.
-// dst must have room for the smallest set's length. Compatibility wrapper
-// over a pooled default Executor.
-func IntersectK(dst []uint32, sets ...*Set) int {
-	if dst == nil {
-		panic("core: IntersectK requires a destination buffer")
-	}
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectK(dst, sets...)
-}
-
-// CountKParallel is CountK with the largest bitmap's words partitioned
-// across `workers` parts of the persistent shared pool (Section VI's
-// multicore scheme applied to the k-way AND). Compatibility wrapper over a
-// pooled default Executor.
-func CountKParallel(workers int, sets ...*Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.CountKParallel(workers, sets...)
-}
-
-// ---------------------------------------------------------------------------
-// Multicore parallelism (Section VI): the larger bitmap's words are
-// partitioned across workers; segments never straddle words, so workers
-// touch disjoint segment pairs. These compatibility wrappers run on a pooled
-// default Executor, whose persistent worker pool replaces the seed's
-// per-call goroutine spawning.
-// ---------------------------------------------------------------------------
-
-// CountMergeParallel is CountMerge across `workers` parts of the shared pool.
-func CountMergeParallel(a, b *Set, workers int) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.CountMergeParallel(a, b, workers)
-}
-
-// IntersectMergeParallel is IntersectMerge across `workers` parts of the
-// shared pool. Workers materialize disjoint word ranges into private buffers
-// which are concatenated in range order, so the output matches
-// IntersectMerge.
-func IntersectMergeParallel(dst []uint32, a, b *Set, workers int) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectMergeParallel(dst, a, b, workers)
-}
-
-// CountHashParallel applies the skewed-input strategy with the smaller set's
-// elements partitioned across workers (the parallelization Section VI
-// prescribes when input sizes differ dramatically).
-func CountHashParallel(a, b *Set, workers int) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.CountHashParallel(a, b, workers)
 }
 
 // DispatchTrace returns the (sizeA, sizeB) segment-size pairs that the
@@ -498,7 +360,7 @@ func DispatchTrace(a, b *Set) [][2]int {
 	compatible(a, b)
 	x, y := ordered(a, b)
 	trace := make([][2]int, 0, bitmap.CountIntersectingSegments(x.bm, y.bm))
-	forEachSegPair(x, y, func(sx, sy int) {
+	bitmap.ForEachIntersectingSegment(x.bm, y.bm, func(sx, sy int) {
 		trace = append(trace, [2]int{len(x.segment(sx)), len(y.segment(sy))})
 	})
 	return trace
@@ -528,7 +390,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
 		start := time.Now()
-		n := crossRun(e.plan, &e.denseAnd, a, b, nil, nil, e.st)
+		n, _ := crossRun(nil, e.plan, &e.denseAnd, a, b, nil, nil, e.st)
 		return Breakdown{SegmentTime: time.Since(start), Count: n}
 	}
 	x, y := ordered(a, b)
@@ -539,9 +401,9 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	bitmapTime := time.Since(start)
 
 	start = time.Now()
-	n, touch := dispatchStagedCount(x.reordered, y.reordered, recs)
+	n, touch := dispatchStaged(x.reordered, y.reordered, recs, nil, nil)
 	segTime := time.Since(start)
-	e.touchSink += touch
+	e.touch += touch
 
 	return Breakdown{
 		BitmapTime:  bitmapTime,
@@ -554,9 +416,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 // CountMergeBreakdown is the pooled-executor compatibility wrapper; hot
 // breakdown sweeps should hold an Executor to keep its staging buffer warm.
 func CountMergeBreakdown(a, b *Set) Breakdown {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.CountMergeBreakdown(a, b)
+	return pooled(func(e *Executor) Breakdown { return e.CountMergeBreakdown(a, b) })
 }
 
 // HashBreakdown reports where time went during a skewed-input (FESIAhash)
@@ -583,43 +443,25 @@ func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
 		start := time.Now()
-		n := crossRun(e.plan, &e.denseAnd, a, b, nil, nil, e.st)
+		n, _ := crossRun(nil, e.plan, &e.denseAnd, a, b, nil, nil, e.st)
 		return HashBreakdown{
 			ScanTime: time.Since(start),
 			Probes:   min(a.n, b.n),
 			Count:    n,
 		}
 	}
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
+	small, large := bySize(a, b)
 	e.ensureProbe()
 	stage := e.probeStage
-	lb := large.bm
-	words := lb.Words()
-	mBits := lb.Bits()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
 	reord := large.reordered
-	hasher := large.hasher
 	elems := small.reordered
 
 	bd := HashBreakdown{Probes: small.n}
 	var touch uint64
 	for lo := 0; lo < len(elems); lo += probeBlock {
-		blk := elems[lo:min(lo+probeBlock, len(elems))]
 		bd.Blocks++
 		t0 := time.Now()
-		ns := 0
-		for _, x := range blk {
-			p := hasher.Pos(x, mBits)
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
-		}
+		ns := stageProbes(elems[lo:min(lo+probeBlock, len(elems))], nil, large, stage)
 		bd.Survivors += ns
 		t1 := time.Now()
 		bd.StageTime += t1.Sub(t0)
@@ -631,16 +473,14 @@ func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 		bd.Count = scanStage(stage[:ns], reord, nil, nil, bd.Count)
 		bd.ScanTime += time.Since(t2)
 	}
-	e.touchSink += uint32(touch)
+	e.touch += uint32(touch)
 	return bd
 }
 
 // CountHashBreakdown is the pooled-executor compatibility wrapper for the
 // hash-side breakdown.
 func CountHashBreakdown(a, b *Set) HashBreakdown {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.CountHashBreakdown(a, b)
+	return pooled(func(e *Executor) HashBreakdown { return e.CountHashBreakdown(a, b) })
 }
 
 // HashProbe is one element's outcome in a hash-strategy probe trace.
@@ -662,10 +502,7 @@ func HashProbeTrace(a, b *Set) []HashProbe {
 		return nil
 	}
 	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
+	small, large := bySize(a, b)
 	lb := large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
@@ -682,15 +519,7 @@ func HashProbeTrace(a, b *Set) []HashProbe {
 			seg := int(pos) >> segShift
 			list := reord[offs[seg]:offs[seg+1]]
 			p.SegLen = len(list)
-			for _, v := range list {
-				if v == x {
-					p.Match = true
-					break
-				}
-				if v > x {
-					break
-				}
-			}
+			p.Match = segHas(list, x)
 		}
 		trace = append(trace, p)
 	}

@@ -78,9 +78,10 @@ func TestInvariantKWayAssociativity(t *testing.T) {
 	}
 }
 
-// Parallel and sequential materialization must produce the identical
-// sequence (not just the same multiset): range-partitioned workers preserve
-// segment order.
+// Range-partitioned materialization must produce the identical sequence
+// (not just the same multiset): concatenating the merge loop's output over
+// the word ranges a parallel split would hand its workers preserves segment
+// order.
 func TestInvariantParallelOrderExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 10; trial++ {
@@ -89,8 +90,16 @@ func TestInvariantParallelOrderExact(t *testing.T) {
 		seq := make([]uint32, 3000)
 		par := make([]uint32, 3000)
 		ns := IntersectMerge(seq, a, b)
-		np := IntersectMergeParallel(par, a, b, 1+rng.Intn(7))
-		if ns != np {
+		x, y := ordered(a, b)
+		words := len(x.bm.Words())
+		workers := 1 + rng.Intn(7)
+		chunk := (words + workers - 1) / workers
+		np := 0
+		for lo := 0; lo < words; lo += chunk {
+			n, _, _ := mergeRange(nil, x, y, lo, min(lo+chunk, words), par[np:], nil, nil, nil)
+			np += n
+		}
+		if ns != np || ns != CountMergeParallel(a, b, workers) {
 			t.Fatalf("counts differ: %d vs %d", ns, np)
 		}
 		for i := 0; i < ns; i++ {

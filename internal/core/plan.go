@@ -117,9 +117,15 @@ func planStart(ch planner.Choice) time.Time {
 }
 
 // planRecord feeds a measured choice's observed latency back into the
-// handle; no-op for unmeasured choices.
+// handle; no-op (inlined) for unmeasured choices.
 func planRecord(h *planner.Handle, ch planner.Choice, start time.Time) {
 	if ch.Measure() {
-		h.Record(ch, time.Since(start))
+		recordSince(h, ch, start)
 	}
+}
+
+// recordSince is planRecord's measured arm, kept out of line so the
+// unmeasured check inlines into the per-pair and per-candidate paths.
+func recordSince(h *planner.Handle, ch planner.Choice, start time.Time) {
+	h.Record(ch, time.Since(start))
 }

@@ -91,39 +91,29 @@ func (e *Executor) maybeAttachStats() {
 }
 
 // kernelSampled reports whether the current merge query should record its
-// per-pair kernel-dispatch histogram, advancing the executor's query sequence:
-// 1 in stats.KernelSampleRate merge queries are sampled (always false with
-// stats disabled). The scalar counters — segment pairs, segments scanned,
-// latencies — are never sampled; they stay exact on every query. Per-pair
-// histogram recording on every query costs ~10% on kernel-bound merge
-// workloads, an order of magnitude over the <3% enabled-overhead budget, and
-// the dispatch-size distribution is stable across queries, so sampling keeps
-// the Table II signal at ~1/8th the cost.
-func (e *Executor) kernelSampled() bool {
-	if e.st == nil {
+// per-pair kernel-dispatch histogram, advancing the scratch's query sequence:
+// 1 in stats.KernelSampleRate merge queries (or batch merge candidates) are
+// sampled — always false with stats disabled. Each worker slot samples on its
+// own sequence (single-writer discipline). The scalar counters — segment
+// pairs, segments scanned, latencies — are never sampled; they stay exact on
+// every query. Per-pair histogram recording on every query costs ~10% on
+// kernel-bound merge workloads, an order of magnitude over the <3%
+// enabled-overhead budget, and the dispatch-size distribution is stable
+// across queries, so sampling keeps the Table II signal at ~1/8th the cost.
+func (s *scratch) kernelSampled() bool {
+	if s.st == nil {
 		return false
 	}
-	q := e.qseq
-	e.qseq++
+	q := s.qseq
+	s.qseq++
 	return q%stats.KernelSampleRate == 0
 }
 
 // kernelShard returns the shard the current query's kernel-dispatch records go
-// to — the executor's own shard when the query is sampled, nil otherwise.
-func (e *Executor) kernelShard() *stats.Shard {
-	if e.kernelSampled() {
-		return e.st
-	}
-	return nil
-}
-
-// sampleShard is the worker-side sampling helper: item seq of a worker's share
-// records kernels into st only when it falls on the sampling grid. Workers
-// cannot touch the executor's query sequence (single-writer discipline), so
-// the batch-parallel paths sample by per-worker item index instead.
-func sampleShard(st *stats.Shard, seq int) *stats.Shard {
-	if st != nil && seq%stats.KernelSampleRate == 0 {
-		return st
+// to — the scratch's own shard when the query is sampled, nil otherwise.
+func (s *scratch) kernelShard() *stats.Shard {
+	if s.kernelSampled() {
+		return s.st
 	}
 	return nil
 }

@@ -272,3 +272,52 @@ func TestStatsConcurrentExecutors(t *testing.T) {
 		t.Errorf("PoolDoDone = %d, want %d", got, want)
 	}
 }
+
+// TestKWayTwoSetStats checks that the two-set forms of CountK, IntersectK,
+// VisitK and CountKParallel run on the receiving executor: each records one
+// pair query into its stats, on the strategy the pair took. CountK picks the
+// strategy adaptively like Count; IntersectK and VisitK keep merge order.
+func TestKWayTwoSetStats(t *testing.T) {
+	a, b := benchPair(20_000, 0.3, DefaultConfig())
+	small, large := statsSkewedPair(t)
+	arr := buildRep(t, a.Elements()[:200], RepArray)
+	dst := make([]uint32, 20_000)
+	for _, c := range []struct {
+		name       string
+		x, y       *Set
+		count, mat stats.Counter // CountK's strategy, IntersectK/VisitK's
+	}{
+		{"balanced", a, b, stats.CtrQueriesMerge, stats.CtrQueriesMerge},
+		{"skewed", small, large, stats.CtrQueriesHash, stats.CtrQueriesMerge},
+		{"cross", a, arr, stats.CtrQueriesCross, stats.CtrQueriesCross},
+	} {
+		e := NewExecutor()
+		e.EnableStats(stats.New())
+		want := Count(c.x, c.y)
+		visited := 0
+		got := []int{
+			e.CountK(c.x, c.y),
+			e.IntersectK(dst, c.x, c.y),
+			e.CountKParallel(4, c.x, c.y),
+		}
+		e.VisitK(func(uint32) { visited++ }, c.x, c.y)
+		for i, n := range append(got, visited) {
+			if n != want {
+				t.Fatalf("%s: two-set form %d = %d, want %d", c.name, i, n, want)
+			}
+		}
+		snap := e.Stats()
+		wantCtr := map[stats.Counter]uint64{c.count: 1}
+		wantCtr[c.mat] += 2 // IntersectK, VisitK
+		wantCtr[stats.CtrQueriesMerge]++
+		if c.x.Rep() != RepSegmented || c.y.Rep() != RepSegmented {
+			wantCtr[stats.CtrQueriesMerge]--
+			wantCtr[stats.CtrQueriesCross]++ // CountKParallel's serial cross route
+		}
+		for _, ctr := range []stats.Counter{stats.CtrQueriesMerge, stats.CtrQueriesHash, stats.CtrQueriesCross, stats.CtrQueriesKWay} {
+			if got := snap.Counter(ctr); got != wantCtr[ctr] {
+				t.Errorf("%s: counter %s = %d, want %d", c.name, ctr.Name(), got, wantCtr[ctr])
+			}
+		}
+	}
+}

@@ -73,15 +73,15 @@ func Intersect(dst, a, b []uint32) int {
 }
 
 // Visit streams a ∩ b through emit in ascending order, with no destination
-// buffer.
-func Visit(a, b []uint32, emit func(uint32)) {
+// buffer, and returns the count.
+func Visit(a, b []uint32, emit func(uint32)) int {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
 	if len(b) > SmallMax {
-		GenericVisit(a, b, emit)
-		return
+		return GenericVisit(a, b, emit)
 	}
+	n := 0
 	for _, x := range a {
 		var hit uint32
 		for _, y := range b {
@@ -89,8 +89,10 @@ func Visit(a, b []uint32, emit func(uint32)) {
 		}
 		if hit != 0 {
 			emit(x)
+			n++
 		}
 	}
+	return n
 }
 
 // GenericCount counts |a ∩ b| for sorted sets of any size with a scalar
@@ -132,9 +134,9 @@ func GenericIntersect(dst, a, b []uint32) int {
 }
 
 // GenericVisit streams a ∩ b (ascending) through emit with a scalar
-// two-pointer merge, no destination buffer required.
-func GenericVisit(a, b []uint32, emit func(uint32)) {
-	i, j := 0, 0
+// two-pointer merge, no destination buffer required, and returns the count.
+func GenericVisit(a, b []uint32, emit func(uint32)) int {
+	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		av, bv := a[i], b[j]
 		if av < bv {
@@ -143,8 +145,10 @@ func GenericVisit(a, b []uint32, emit func(uint32)) {
 			j++
 		} else {
 			emit(av)
+			n++
 			i++
 			j++
 		}
 	}
+	return n
 }

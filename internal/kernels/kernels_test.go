@@ -69,7 +69,8 @@ func mapIntersect(a, b []uint32) []uint32 {
 }
 
 // checkKernel runs Count, Intersect (into an exactly sized buffer) and Visit
-// on one pair and compares each with the map reference.
+// (emitted elements and returned count) on one pair and compares each with
+// the map reference.
 func checkKernel(t *testing.T, a, b []uint32) {
 	t.Helper()
 	want := mapIntersect(a, b)
@@ -82,8 +83,8 @@ func checkKernel(t *testing.T, a, b []uint32) {
 		t.Fatalf("Intersect(%dx%d) = %v, want %v\na=%v\nb=%v", len(a), len(b), dst[:n], want, a, b)
 	}
 	got := []uint32{}
-	Visit(a, b, func(v uint32) { got = append(got, v) })
-	if !slices.Equal(got, want) {
+	vn := Visit(a, b, func(v uint32) { got = append(got, v) })
+	if !slices.Equal(got, want) || vn != len(want) {
 		t.Fatalf("Visit(%dx%d) = %v, want %v\na=%v\nb=%v", len(a), len(b), got, want, a, b)
 	}
 }

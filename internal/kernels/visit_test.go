@@ -35,8 +35,8 @@ func TestGenericVisit(t *testing.T) {
 		want := make([]uint32, min(len(a), len(b)))
 		n := GenericIntersect(want, a, b)
 		var got []uint32
-		GenericVisit(a, b, func(v uint32) { got = append(got, v) })
-		if !slices.Equal(got, want[:n]) {
+		vn := GenericVisit(a, b, func(v uint32) { got = append(got, v) })
+		if !slices.Equal(got, want[:n]) || vn != n {
 			t.Fatalf("trial %d: GenericVisit emitted %v, want %v", trial, got, want[:n])
 		}
 	}
