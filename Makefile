@@ -54,7 +54,7 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Benchmark regression gate, five parts:
+# Benchmark regression gate, seven parts:
 #   1. strategy micro-benchmarks vs the committed baseline (>15% ns/op fails);
 #   2. SIMD backend pairing — every asm routine vs its pure-Go reference,
 #      with built-in structural gates (fused filter >= 1.5x, end-to-end merge

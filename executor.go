@@ -3,7 +3,6 @@ package fesia
 import (
 	"context"
 	"slices"
-	"sync"
 
 	"fesia/internal/core"
 )
@@ -38,11 +37,36 @@ func NewExecutor() *Executor {
 
 // unwrap fills the executor's scratch slice with the inner sets.
 func (e *Executor) unwrap(sets []*Set) []*core.Set {
-	e.sets = e.sets[:0]
-	for _, s := range sets {
-		e.sets = append(e.sets, s.inner)
-	}
+	e.sets = innerSets(e.sets, sets)
 	return e.sets
+}
+
+// innerSets writes the inner sets into buf's storage, growing it only when
+// the query holds more sets than buf's capacity.
+func innerSets(buf []*core.Set, sets []*Set) []*core.Set {
+	buf = buf[:0]
+	for _, s := range sets {
+		buf = append(buf, s.inner)
+	}
+	return buf
+}
+
+// kwayBuf returns a destination buffer with room for the k-way intersection
+// of sets: the smallest set's length.
+func kwayBuf(sets []*core.Set) []uint32 {
+	n := sets[0].Len()
+	for _, s := range sets[1:] {
+		n = min(n, s.Len())
+	}
+	return make([]uint32, n)
+}
+
+// ascending sorts the n-element segment-order result in dst into value
+// order and returns it.
+func ascending(dst []uint32, n int) []uint32 {
+	out := dst[:n]
+	slices.Sort(out)
+	return out
 }
 
 // IntersectCount returns |a ∩ b|, choosing between the two-step merge and
@@ -60,10 +84,7 @@ func (e *Executor) HashCount(a, b *Set) int { return e.inner.CountHash(a.inner, 
 // paths.
 func (e *Executor) Intersect(a, b *Set) []uint32 {
 	dst := make([]uint32, min(a.Len(), b.Len()))
-	n := e.inner.Intersect(dst, a.inner, b.inner)
-	out := dst[:n]
-	slices.Sort(out)
-	return out
+	return ascending(dst, e.inner.Intersect(dst, a.inner, b.inner))
 }
 
 // IntersectInto writes a ∩ b into dst and returns the number of elements
@@ -102,15 +123,8 @@ func (e *Executor) IntersectCountK(sets ...*Set) int {
 // allocated; use IntersectKInto on hot paths).
 func (e *Executor) IntersectK(sets ...*Set) []uint32 {
 	inner := e.unwrap(sets)
-	minLen := inner[0].Len()
-	for _, s := range inner[1:] {
-		minLen = min(minLen, s.Len())
-	}
-	dst := make([]uint32, minLen)
-	n := e.inner.IntersectK(dst, inner...)
-	out := dst[:n]
-	slices.Sort(out)
-	return out
+	dst := kwayBuf(inner)
+	return ascending(dst, e.inner.IntersectK(dst, inner...))
 }
 
 // IntersectKInto writes the k-way intersection into dst and returns the
@@ -212,10 +226,3 @@ func (e *Executor) IntersectCountManyCtx(ctx context.Context, q *Set, candidates
 func (e *Executor) IntersectCountManyParallelCtx(ctx context.Context, q *Set, candidates []*Set, out []int, workers int) error {
 	return e.inner.CountManyParallelCtx(ctx, q.inner, e.unwrap(candidates), out, workers)
 }
-
-// executors recycles default executors behind the package-level
-// compatibility wrappers, so even one-shot calls reuse warm scratch state.
-var executors = sync.Pool{New: func() any { return NewExecutor() }}
-
-func getExecutor() *Executor  { return executors.Get().(*Executor) }
-func putExecutor(e *Executor) { executors.Put(e) }

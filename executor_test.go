@@ -2,8 +2,11 @@ package fesia
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+
+	"fesia/internal/core"
 )
 
 func execRandElems(rng *rand.Rand, n int, universe uint32) []uint32 {
@@ -219,5 +222,63 @@ func TestPublicManyParity(t *testing.T) {
 	})
 	if !slices.Equal(visited, out) || sum != total {
 		t.Fatalf("VisitMany counts %v (sum %d), want %v (total %d)", visited, sum, out, total)
+	}
+}
+
+// TestPooledWrappersAttachLate: the package-level wrappers check out pooled
+// executors through the same attach seam as everything else, so a pooled
+// executor created before EnableStats or EnablePlanner still records once
+// they are on.
+func TestPooledWrappersAttachLate(t *testing.T) {
+	core.EnableStats(nil)
+	core.EnablePlanner(nil)
+	defer core.EnableStats(nil)
+	defer core.EnablePlanner(nil)
+	runtime.GC() // empty the executor pool: no pooled executor is attached
+	runtime.GC()
+	rng := rand.New(rand.NewSource(41))
+	a := MustBuild(execRandElems(rng, 3000, 1<<15))
+	b := MustBuild(execRandElems(rng, 2500, 1<<15))
+	c := MustBuild(execRandElems(rng, 2000, 1<<15))
+
+	IntersectCount(a, b) // the pooled executor now predates both instruments
+	EnableStats()
+	EnablePlanner(WithPlanner(PlannerPrior))
+	const calls = 10
+	for range calls {
+		IntersectCount(a, b)
+		IntersectCountK(a, b, c)
+	}
+	snap := Stats()
+	if got := snap.Counter(CtrQueriesMerge) + snap.Counter(CtrQueriesHash); got != calls {
+		t.Errorf("pair queries recorded = %d, want %d", got, calls)
+	}
+	if got := snap.Counter(CtrQueriesKWay); got != calls {
+		t.Errorf("k-way queries recorded = %d, want %d", got, calls)
+	}
+	if got := snap.Counter(CtrPlanSegSegMerge) + snap.Counter(CtrPlanSegSegHash); got != calls {
+		t.Errorf("planner decisions recorded = %d, want %d", got, calls)
+	}
+}
+
+// TestPackageWrappersAllocs: the package-level wrappers reuse pooled
+// executors, so their warm pair paths do not allocate either.
+func TestPackageWrappersAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	a := MustBuild(execRandElems(rng, 3000, 1<<15))
+	b := MustBuild(execRandElems(rng, 2500, 1<<15))
+	dst := make([]uint32, 3000)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"IntersectCount", func() { IntersectCount(a, b) }},
+		{"IntersectInto", func() { IntersectInto(dst, a, b) }},
+	}
+	for _, c := range cases {
+		c.fn()
+		if avg := testing.AllocsPerRun(20, c.fn); avg != 0 {
+			t.Errorf("%s: %.1f allocs/op warm, want 0", c.name, avg)
+		}
 	}
 }

@@ -203,19 +203,14 @@ func ReadCorpus(r io.Reader) ([]*Set, error) {
 // IntersectCount returns |a ∩ b|, choosing between the two-step merge and
 // the hash-probe strategy based on the input size ratio (Section VI).
 // Compatibility wrapper over a pooled default Executor.
-func IntersectCount(a, b *Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectCount(a, b)
-}
+func IntersectCount(a, b *Set) int { return core.Count(a.inner, b.inner) }
 
 // Intersect returns a ∩ b in ascending order, as a fresh slice. Callers that
 // do not need value order (or a fresh slice) should use IntersectInto or an
 // Executor, which skip both the allocation and the sort.
 func Intersect(a, b *Set) []uint32 {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.Intersect(a, b)
+	dst := make([]uint32, min(a.Len(), b.Len()))
+	return ascending(dst, core.Intersect(dst, a.inner, b.inner))
 }
 
 // IntersectInto writes a ∩ b into dst and returns the number of elements
@@ -225,11 +220,7 @@ func Intersect(a, b *Set) []uint32 {
 // larger-bitmap set for the merge strategy, of the smaller set for the hash
 // strategy) — NOT in ascending value order. Compatibility wrapper over a
 // pooled default Executor; warm calls perform zero heap allocations.
-func IntersectInto(dst []uint32, a, b *Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectInto(dst, a, b)
-}
+func IntersectInto(dst []uint32, a, b *Set) int { return core.Intersect(dst, a.inner, b.inner) }
 
 // MergeCount forces the two-step FESIAmerge strategy (Algorithm 1).
 func MergeCount(a, b *Set) int { return core.CountMerge(a.inner, b.inner) }
@@ -237,21 +228,25 @@ func MergeCount(a, b *Set) int { return core.CountMerge(a.inner, b.inner) }
 // HashCount forces the per-element FESIAhash strategy, O(min(n1, n2)).
 func HashCount(a, b *Set) int { return core.CountHash(a.inner, b.inner) }
 
+// kwaySets is the stack-sized unwrapping buffer of the package-level k-way
+// wrappers; queries of more sets grow past it.
+type kwaySets [8]*core.Set
+
 // IntersectCountK returns |s1 ∩ ... ∩ sk| with the k-way algorithm of
 // Section VI, O(kn/√w + r). Compatibility wrapper over a pooled default
 // Executor.
 func IntersectCountK(sets ...*Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectCountK(sets...)
+	var buf kwaySets
+	return core.CountK(innerSets(buf[:], sets)...)
 }
 
 // IntersectK returns the k-way intersection in ascending order.
 // Compatibility wrapper over a pooled default Executor.
 func IntersectK(sets ...*Set) []uint32 {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectK(sets...)
+	var buf kwaySets
+	inner := innerSets(buf[:], sets)
+	dst := kwayBuf(inner)
+	return ascending(dst, core.IntersectK(dst, inner...))
 }
 
 // IntersectCountParallel runs the two-step intersection across `workers`
@@ -259,18 +254,15 @@ func IntersectK(sets ...*Set) []uint32 {
 // (Section VI, multicore). Compatibility wrapper over a pooled default
 // Executor.
 func IntersectCountParallel(a, b *Set, workers int) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectCountParallel(a, b, workers)
+	return core.CountMergeParallel(a.inner, b.inner, workers)
 }
 
 // IntersectCountKParallel runs the k-way intersection across `workers` parts
 // of the persistent shared worker pool. Compatibility wrapper over a pooled
 // default Executor.
 func IntersectCountKParallel(workers int, sets ...*Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.IntersectCountKParallel(workers, sets...)
+	var buf kwaySets
+	return core.CountKParallel(workers, innerSets(buf[:], sets)...)
 }
 
 // Breakdown reports per-step timing of one merge intersection (Fig. 14).

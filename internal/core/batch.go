@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"fesia/internal/kernels"
 	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
+	"fesia/internal/trace"
 )
 
 // This file implements the batch one-vs-many query engine: intersecting one
@@ -183,9 +183,9 @@ func stageProbes(blk []uint32, pos []uint64, large *Set, stage []probeRec) int {
 // sink in the same order hashProbe produces.
 //
 // stage must hold probeBlock entries. The accumulated touch value is
-// returned so the read-ahead loads cannot be dead-code-eliminated. st, when
-// non-nil, receives the probe/survivor counters.
-func hashProbeStaged(elems []uint32, pos []uint64, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
+// returned so the read-ahead loads cannot be dead-code-eliminated; the
+// probe/survivor counters go to the writer's stats shard.
+func (in *instr) hashProbeStaged(elems []uint32, pos []uint64, large *Set, stage []probeRec, dst []uint32, emit Visitor) (int, uint32) {
 	lb := large.bm
 	gather := pos == nil && simd.GatherProbeActive() && lb.Bits() <= gatherProbeMaxBits
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
@@ -219,10 +219,7 @@ func hashProbeStaged(elems []uint32, pos []uint64, large *Set, stage []probeRec,
 		}
 		n = scanStage(stage[:ns], reord, dst, emit, n)
 	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
+	in.noteProbes(len(elems), survivors)
 	return n, uint32(touch)
 }
 
@@ -279,7 +276,7 @@ func (s *scratch) hashProbeBatch(q, small, large *Set, dst []uint32, emit Visito
 		}
 		pos = s.qcache.pos
 	}
-	n, touch := hashProbeStaged(small.reordered, pos, large, s.probeStage, dst, emit, s.st)
+	n, touch := s.in.hashProbeStaged(small.reordered, pos, large, s.probeStage, dst, emit)
 	s.touch += touch
 	return n
 }
@@ -311,13 +308,13 @@ func (s *scratch) step(q, c *Set, dst []uint32, emit Visitor) int {
 		return 0
 	}
 	if crossPair(q, c) {
-		n, _ := crossRun(nil, s.plan, &s.denseAnd, q, c, dst, emit, s.st)
+		n, _ := s.crossRun(nil, q, c, dst, emit)
 		return n
 	}
 	hash := useHash(q, c)
 	var ch planner.Choice
-	if s.plan != nil { // the planner-off check stays inline per candidate
-		ch, hash = planSegSeg(s.plan, s.st, q, c)
+	if s.in.plan != nil { // the planner-off check stays inline per candidate
+		ch, hash = s.in.planSegSeg(q, c)
 	}
 	start := planStart(ch)
 	var n int
@@ -327,7 +324,7 @@ func (s *scratch) step(q, c *Set, dst []uint32, emit Visitor) int {
 	} else {
 		n = s.mergeStaged(q, c, dst, emit)
 	}
-	planRecord(s.plan, ch, start)
+	s.in.planRecord(ch, start)
 	return n
 }
 
@@ -340,14 +337,14 @@ func (s *scratch) step(q, c *Set, dst []uint32, emit Visitor) int {
 func (s *scratch) mergeStaged(a, b *Set, dst []uint32, emit Visitor) int {
 	x, y := ordered(a, b)
 	s.staged = stageSegPairs(x, y, s.staged[:0])
-	if s.st != nil {
-		if kst := s.kernelShard(); kst != nil {
+	if st := s.in.st; st != nil {
+		if kst := s.in.kernelShard(); kst != nil {
 			for _, r := range s.staged {
 				kst.Kernel(int(r.oaEnd-r.oa), int(r.obEnd-r.ob))
 			}
 		}
-		s.st.Add(stats.CtrSegPairs, uint64(len(s.staged)))
-		s.st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
+		st.Add(stats.CtrSegPairs, uint64(len(s.staged)))
+		st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
 	}
 	n, touch := dispatchStaged(x.reordered, y.reordered, s.staged, dst, emit)
 	s.touch += touch
@@ -367,10 +364,7 @@ func (e *Executor) many(ctx context.Context, q *Set, candidates []*Set, out []in
 	if len(candidates) == 0 {
 		return 0, nil
 	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
+	start := e.in.begin(planner.Choice{})
 	e.ensureProbe()
 	if ctx == nil && out != nil && dst == nil && emit == nil {
 		// The plain count loop stays free of the checkpoint and sink
@@ -382,7 +376,7 @@ func (e *Executor) many(ctx context.Context, q *Set, candidates []*Set, out []in
 			out[i] = e.step(q, c, nil, nil)
 			total += out[i]
 		}
-		e.observeBatch(start, len(candidates))
+		e.in.finish(trace.ArmBatch, start, planner.Choice{}, len(candidates), q.n)
 		return total, nil
 	}
 	cand := 0
@@ -402,16 +396,8 @@ func (e *Executor) many(ctx context.Context, q *Set, candidates []*Set, out []in
 		}
 		total += n
 	}
-	e.observeBatch(start, len(candidates))
+	e.in.finish(trace.ArmBatch, start, planner.Choice{}, len(candidates), q.n)
 	return total, nil
-}
-
-// observeBatch records one completed batch query.
-func (e *Executor) observeBatch(start time.Time, candidates int) {
-	if e.st != nil {
-		e.st.Add(stats.CtrBatchCandidates, uint64(candidates))
-		observeSince(e.st, stats.CtrQueriesBatch, stats.LatBatch, start)
-	}
 }
 
 // manyParallel is the parallel batch driver behind CountManyParallel and
@@ -431,10 +417,7 @@ func (e *Executor) manyParallel(ctx context.Context, q *Set, candidates []*Set, 
 	if err := checkpoint(ctx); err != nil {
 		return e.noteCancel(err)
 	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
+	start := e.in.begin(planner.Choice{})
 	// Size-ordered schedule: sort candidate indices by descending set size,
 	// then deal index k to worker k mod workers. Round-robin over a sorted
 	// order bounds any worker's load at (total + max)/workers.
@@ -458,7 +441,7 @@ func (e *Executor) manyParallel(ctx context.Context, q *Set, candidates []*Set, 
 	if err := checkpoint(ctx); err != nil {
 		return e.noteCancel(err)
 	}
-	e.observeBatch(start, len(candidates))
+	e.in.finish(trace.ArmBatch, start, planner.Choice{}, len(candidates), q.n)
 	return nil
 }
 
@@ -534,7 +517,7 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 // CountMany fills out[i] with |q ∩ candidates[i]| on a pooled default
 // Executor.
 func CountMany(q *Set, candidates []*Set, out []int) {
-	pooled(func(e *Executor) any { e.CountMany(q, candidates, out); return nil })
+	pooled(func(e *Executor) int { e.CountMany(q, candidates, out); return 0 })
 }
 
 // IntersectManyInto writes every q ∩ candidates[i] into dst back to back on
@@ -546,7 +529,7 @@ func IntersectManyInto(dst []uint32, counts []int, q *Set, candidates []*Set) in
 // CountManyParallel is CountMany partitioned across `workers` parts of the
 // shared pool on a pooled default Executor.
 func CountManyParallel(q *Set, candidates []*Set, out []int, workers int) {
-	pooled(func(e *Executor) any { e.CountManyParallel(q, candidates, out, workers); return nil })
+	pooled(func(e *Executor) int { e.CountManyParallel(q, candidates, out, workers); return 0 })
 }
 
 // sortIdxByLenDesc heap-sorts idx in place so that sets[idx[0]] is the

@@ -57,8 +57,8 @@ func blocks(ctx context.Context, n, blk int, dst []uint32, fn func(lo, hi int, d
 // the error through. Called once per top-level query, so a cancelled query
 // counts once no matter how many checkpoints observed it.
 func (e *Executor) noteCancel(err error) error {
-	if err != nil && e.st != nil {
-		e.st.Inc(stats.CtrCancellations)
+	if err != nil && e.in.st != nil {
+		e.in.st.Inc(stats.CtrCancellations)
 	}
 	return err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -36,30 +37,13 @@ type Visitor func(uint32)
 // from multiple goroutines at once — give each query goroutine its own, or
 // recycle them through a sync.Pool as the package-level wrappers do.
 type Executor struct {
-	scratch // the sequential paths' scratch, stats shard and planner handle
+	scratch // the sequential paths' scratch and instrument context
 
 	ord     []*Set // k-way bitmap-size ordering scratch
 	maps    []*bitmap.Bitmap
 	workers []scratch // one per parallel worker slot
 	pool    *Pool
 	sched   []int32 // candidate scheduling order (CountManyParallel)
-
-	// Observability (nil when stats are disabled — the default). The
-	// embedded scratch's st is this executor's single-writer shard for its
-	// sequential paths; each parallel worker slot carries its own. See
-	// stats.go for the ownership model.
-	sink *stats.Sink
-
-	// Adaptive planner (nil when off — the default). The embedded scratch's
-	// plan is this executor's single-writer decision handle; each parallel
-	// worker slot carries its own. See plan.go for the ownership model.
-	planModel *planner.Model
-
-	// Per-query tracing (nil when no tracer is installed — the default).
-	// tr is this executor's (shard × slot) staging cell in the serving
-	// tier's tracer; the sequential paths append strategy, planner and
-	// kernel records to it. See trace.go for the ownership model.
-	tr *trace.Cell
 }
 
 // scratch is one thread's query state: the executor's own for its
@@ -73,24 +57,20 @@ type scratch struct {
 	qcache         probeCache  // query hash positions, memoized per bitmap size
 	denseAnd       []uint64    // dense×dense word-AND scratch (cross-rep paths)
 	touch          uint32      // accumulates read-ahead touches so they are not DCE'd
-	qseq           uint64      // merge-query sequence for kernel sampling
 	count          int         // a parallel worker's result
-
-	st   *stats.Shard    // single-writer stats shard (nil = stats off)
-	plan *planner.Handle // single-writer planner handle (nil = planner off)
+	in             instr       // the writer's instrument context (instr.go)
 }
 
 // NewExecutor returns an Executor attached to the shared worker pool. If a
-// process-global stats sink is installed (EnableStats), the executor attaches
-// to it.
+// process-global stats sink (EnableStats) or planner model (EnablePlanner)
+// is installed, the executor attaches to it.
 func NewExecutor() *Executor { return NewExecutorWithPool(SharedPool()) }
 
 // NewExecutorWithPool returns an Executor whose parallel methods run on the
 // given pool instead of the shared one.
 func NewExecutorWithPool(p *Pool) *Executor {
 	e := &Executor{pool: p}
-	e.maybeAttachStats()
-	e.maybeAttachPlanner()
+	e.attachGlobal()
 	return e
 }
 
@@ -144,14 +124,7 @@ func putAll(cur, dst []uint32, emit Visitor) int {
 
 func (e *Executor) ensureWorkers(n int) {
 	for len(e.workers) < n {
-		w := scratch{}
-		if e.sink != nil {
-			w.st = e.sink.NewShard()
-		}
-		if e.planModel != nil {
-			w.plan = e.planModel.NewHandle()
-		}
-		e.workers = append(e.workers, w)
+		e.workers = append(e.workers, scratch{in: instrument(instr{}, e.in.sink, e.in.model, nil)})
 	}
 }
 
@@ -196,36 +169,42 @@ var armStats = [...]struct {
 	trace.ArmHash:  {stats.CtrQueriesHash, stats.LatHash},
 	trace.ArmKWay:  {stats.CtrQueriesKWay, stats.LatKWay},
 	trace.ArmCross: {stats.CtrQueriesCross, stats.LatCross},
+	trace.ArmBatch: {stats.CtrQueriesBatch, stats.LatBatch},
 }
 
 // begin reads the clock when the query is instrumented (stats, a trace cell
 // or a measured planner choice); the zero time, with no clock read,
 // otherwise.
-func (e *Executor) begin(ch planner.Choice) time.Time {
-	if e.st != nil || e.tr != nil || ch.Measure() {
+func (in *instr) begin(ch planner.Choice) time.Time {
+	if in.st != nil || in.tr != nil || ch.Measure() {
 		return time.Now()
 	}
 	return time.Time{}
 }
 
-// finish is the one instrumentation seam of a completed query: a single
-// clock read feeds the strategy's stats counter and latency, the trace span
-// and the planner feedback alike. Cancelled queries never reach it — their
-// partial latency would skew the model.
-func (e *Executor) finish(arm uint8, start time.Time, ch planner.Choice, v1, v2 int) {
-	if e.st == nil && e.tr == nil && !ch.Measure() {
+// finish is the one instrumentation seam of a completed query — pair,
+// k-way or batch: a single clock read feeds the strategy's stats counter and
+// latency, the trace span and the planner feedback alike. v1 and v2 are the
+// strategy span's payload (see trace.KindStrategy); a batch's v1 is its
+// candidate count. Cancelled queries never reach it — their partial latency
+// would skew the model.
+func (in *instr) finish(arm uint8, start time.Time, ch planner.Choice, v1, v2 int) {
+	if in.st == nil && in.tr == nil && !ch.Measure() {
 		return
 	}
 	el := time.Since(start)
-	if e.st != nil {
-		e.st.Inc(armStats[arm].queries)
-		e.st.Observe(armStats[arm].lat, el)
+	if in.st != nil {
+		in.st.Inc(armStats[arm].queries)
+		in.st.Observe(armStats[arm].lat, el)
+		if arm == trace.ArmBatch {
+			in.st.Add(stats.CtrBatchCandidates, uint64(v1))
+		}
 	}
-	if e.tr != nil {
-		e.tr.Span(trace.KindStrategy, arm, 0, start, el, uint64(v1), uint64(v2))
+	if in.tr != nil {
+		in.tr.Span(trace.KindStrategy, arm, 0, start, el, uint64(v1), uint64(v2))
 	}
 	if ch.Measure() {
-		e.plan.Record(ch, el)
+		in.plan.Record(ch, el)
 	}
 }
 
@@ -247,36 +226,35 @@ func (e *Executor) pair(ctx context.Context, strat strategy, a, b *Set, dst []ui
 	if !crossPair(a, b) {
 		hash := strat == stratHash
 		if strat == stratAuto {
-			ch, hash = planSegSeg(e.plan, e.st, a, b)
-			tracePlanSegSeg(e.tr, e.plan, ch, a, b)
+			ch, hash = e.in.planSegSeg(a, b)
 		}
 		arm = trace.ArmMerge
 		if hash {
 			arm = trace.ArmHash
 		}
 	}
-	start := e.begin(ch)
+	start := e.in.begin(ch)
 	var n, v1, v2 int
 	var err error
 	switch arm {
 	case trace.ArmCross:
-		n, err = crossRun(ctx, e.plan, &e.denseAnd, a, b, dst, emit, e.st)
+		n, err = e.crossRun(ctx, a, b, dst, emit)
 	case trace.ArmHash:
 		small, large := bySize(a, b)
-		n, err = hashProbe(ctx, small.reordered, large, dst, emit, e.st)
+		n, err = e.in.hashProbe(ctx, small.reordered, large, dst, emit)
 		v1, v2 = small.n, large.n
 	default:
 		x, y := ordered(a, b)
-		n, v1, err = mergeRange(ctx, x, y, 0, len(x.bm.Words()), dst, emit, e.st, e.kernelShard())
+		n, v1, err = e.in.mergeRange(ctx, x, y, 0, len(x.bm.Words()), dst, emit)
 		v2 = x.bm.NumSegments()
 	}
 	if err != nil {
 		return 0, e.noteCancel(err)
 	}
-	if e.tr != nil && arm != trace.ArmCross {
-		e.tr.Event(trace.KindKernel, arm, 0, uint64(v1), uint64(v2))
+	if e.in.tr != nil && arm != trace.ArmCross {
+		e.in.tr.Event(trace.KindKernel, arm, 0, uint64(v1), uint64(v2))
 	}
-	e.finish(arm, start, ch, a.n, b.n)
+	e.in.finish(arm, start, ch, a.n, b.n)
 	return n, nil
 }
 
@@ -392,7 +370,7 @@ func (e *Executor) kSets(ctx context.Context, sets []*Set, dst []uint32, emit Vi
 	if err := checkpoint(ctx); err != nil {
 		return 0, e.noteCancel(err)
 	}
-	start := e.begin(planner.Choice{})
+	start := e.in.begin(planner.Choice{})
 	var n int
 	var err error
 	if anyCross(sets) {
@@ -407,7 +385,7 @@ func (e *Executor) kSets(ctx context.Context, sets []*Set, dst []uint32, emit Vi
 	if err != nil {
 		return 0, e.noteCancel(err)
 	}
-	e.finish(trace.ArmKWay, start, planner.Choice{}, len(sets), n)
+	e.in.finish(trace.ArmKWay, start, planner.Choice{}, len(sets), n)
 	return n, nil
 }
 
@@ -486,17 +464,12 @@ func (e *Executor) CountMergeParallel(a, b *Set, workers int) int {
 	if workers <= 1 {
 		return e.CountMerge(a, b)
 	}
-	start := e.begin(planner.Choice{})
-	sampled := e.kernelSampled()
+	start := e.in.begin(planner.Choice{})
 	n := e.split(words, workers, func(ws *scratch, lo, hi int) int {
-		kst := ws.st
-		if !sampled {
-			kst = nil
-		}
-		n, _, _ := mergeRange(nil, x, y, lo, hi, nil, nil, ws.st, kst)
+		n, _, _ := ws.in.mergeRange(nil, x, y, lo, hi, nil, nil)
 		return n
 	})
-	e.finish(trace.ArmMerge, start, planner.Choice{}, a.n, b.n)
+	e.in.finish(trace.ArmMerge, start, planner.Choice{}, a.n, b.n)
 	return n
 }
 
@@ -518,12 +491,12 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	if workers <= 1 {
 		return e.CountK(sets...)
 	}
-	start := e.begin(planner.Choice{})
+	start := e.in.begin(planner.Choice{})
 	n := e.split(words, workers, func(ws *scratch, lo, hi int) int {
 		buf1, buf2 := ws.chains(maxSeg)
 		return kwayChainRange(e.maps, x, rest, lo, hi, buf1, buf2, nil, nil)
 	})
-	e.finish(trace.ArmKWay, start, planner.Choice{}, len(sets), n)
+	e.in.finish(trace.ArmKWay, start, planner.Choice{}, len(sets), n)
 	return n
 }
 
@@ -531,14 +504,23 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 // Pooled default executors backing the package-level compatibility wrappers.
 // ---------------------------------------------------------------------------
 
-var defaultExecutors = sync.Pool{New: func() any { return NewExecutor() }}
+// defaultExecutors recycles the executors behind the package-level wrappers
+// (core's and the root package's alike). When the GC drops one, its
+// finalizer releases its stats shards and planner handles for the next
+// executor to reuse, so pool churn never grows the sink or the model.
+var defaultExecutors = sync.Pool{New: func() any {
+	e := NewExecutor()
+	runtime.SetFinalizer(e, (*Executor).release)
+	return e
+}}
 
-// pooled runs fn on a pooled default executor. Pooled executors attach to
-// the process-global stats sink and planner like any other.
-func pooled[T any](fn func(e *Executor) T) T {
+// pooled runs fn on a pooled default executor, attached on checkout to the
+// process-global stats sink and planner like any other. It is not generic:
+// a generic instantiation called from another package makes the caller's
+// closure escape, an allocation per call.
+func pooled(fn func(e *Executor) int) int {
 	e := defaultExecutors.Get().(*Executor)
 	defer defaultExecutors.Put(e)
-	e.maybeAttachStats()   // pooled executors may predate EnableStats
-	e.maybeAttachPlanner() // ... or EnablePlanner
+	e.attachGlobal()
 	return fn(e)
 }

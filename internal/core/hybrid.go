@@ -88,17 +88,16 @@ func growU64(buf []uint64, n int) []uint64 {
 }
 
 // crossRun dispatches one pair intersection where at least one side is
-// non-segmented, into the (dst, emit) sink; the match count is returned.
-// denseAnd is the caller's persistent dense-AND scratch (grown in place). st,
-// when non-nil, receives the dispatch-pair counter and, on hash-probing
-// paths, the probe/survivor counters. h, when non-nil, resolves the
-// probe-side decisions of the ×dense pairs through the adaptive planner (the
-// other pairs have a single reasonable driver and stay static). ctx is
-// checked per probe or word block; array×array, a single merge of two
-// arrays, runs unchecked.
-func crossRun(ctx context.Context, h *planner.Handle, denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
-	if st != nil {
-		st.Inc(repPairCounter(a.rep, b.rep))
+// non-segmented, into the (dst, emit) sink, on the scratch's persistent
+// dense-AND buffer; the match count is returned. The writer's stats shard,
+// when attached, receives the dispatch-pair counter and, on hash-probing
+// paths, the probe/survivor counters; its planner handle, when attached,
+// resolves the probe-side decisions of the ×dense pairs (the other pairs
+// have a single reasonable driver and stay static). ctx is checked per probe
+// or word block; array×array, a single merge of two arrays, runs unchecked.
+func (s *scratch) crossRun(ctx context.Context, a, b *Set, dst []uint32, emit Visitor) (int, error) {
+	if s.in.st != nil {
+		s.in.st.Inc(repPairCounter(a.rep, b.rep))
 	}
 	if a.rep > b.rep {
 		a, b = b, a
@@ -107,7 +106,7 @@ func crossRun(ctx context.Context, h *planner.Handle, denseAnd *[]uint64, a, b *
 	case a.n == 0 || b.n == 0:
 		return 0, nil
 	case a.rep == RepSegmented && b.rep == RepArray:
-		return hashProbe(ctx, b.reordered, a, dst, emit, st)
+		return s.in.hashProbe(ctx, b.reordered, a, dst, emit)
 	case b.rep == RepArray: // array×array
 		xa, xb := a.reordered, b.reordered
 		switch {
@@ -118,9 +117,9 @@ func crossRun(ctx context.Context, h *planner.Handle, denseAnd *[]uint64, a, b *
 		}
 		return kernels.Count(xa, xb), nil
 	case a.rep == RepDense: // dense×dense
-		return denseDenseRun(ctx, denseAnd, a, b, dst, emit)
+		return denseDenseRun(ctx, &s.denseAnd, a, b, dst, emit)
 	}
-	return denseMixedRun(ctx, h, a, b, dst, emit, st)
+	return s.in.denseMixedRun(ctx, a, b, dst, emit)
 }
 
 // denseMixedRun intersects a segmented or array set s with a dense bitmap:
@@ -129,17 +128,17 @@ func crossRun(ctx context.Context, h *planner.Handle, denseAnd *[]uint64, a, b *
 // probing side comes from the planner when a handle is attached
 // (DecSegDense arm 0 and DecArrayDense arm 1 are the dense-driven sides),
 // from the smaller-side rule otherwise.
-func denseMixedRun(ctx context.Context, h *planner.Handle, s, den *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
+func (in *instr) denseMixedRun(ctx context.Context, s, den *Set, dst []uint32, emit Visitor) (int, error) {
 	fromDense := den.n < s.n
 	var ch planner.Choice
-	if h != nil {
+	if h := in.plan; h != nil {
 		if s.rep == RepSegmented {
 			ch = h.Decide(planner.DecSegDense, den.n, s.n)
-			notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
+			in.notePlan(planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
 			fromDense = ch.Arm == 0
 		} else {
 			ch = h.Decide(planner.DecArrayDense, s.n, den.n)
-			notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
+			in.notePlan(planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
 			fromDense = ch.Arm == 1
 		}
 	}
@@ -158,8 +157,8 @@ func denseMixedRun(ctx context.Context, h *planner.Handle, s, den *Set, dst []ui
 			}
 			return k
 		})
-		if st != nil && s.rep == RepSegmented && err == nil {
-			st.Add(stats.CtrHashProbes, uint64(den.n))
+		if in.st != nil && s.rep == RepSegmented && err == nil {
+			in.st.Add(stats.CtrHashProbes, uint64(den.n))
 		}
 	} else {
 		elems := s.reordered
@@ -176,7 +175,7 @@ func denseMixedRun(ctx context.Context, h *planner.Handle, s, den *Set, dst []ui
 	if err == nil {
 		// Cancelled passes are partial work; only completed ones feed the
 		// cost model.
-		planRecord(h, ch, start)
+		in.planRecord(ch, start)
 	}
 	return n, err
 }
@@ -274,7 +273,7 @@ func (s *Set) visitAll(emit Visitor) {
 // equal cold-start priors reduce this to the static smallest-set rule
 // (first-minimum tie break included).
 func (e *Executor) kwaySeed(sets []*Set) int {
-	if h := e.plan; h != nil {
+	if h := e.in.plan; h != nil {
 		var total float64
 		for _, s := range sets {
 			total += h.ProbeCost(int(s.rep))
@@ -312,7 +311,7 @@ func (e *Executor) kwayAnyChain(ctx context.Context, sets []*Set, dst []uint32, 
 	sm := e.kwaySeed(sets)
 	cur, _ := e.chains(max(sets[sm].n, 1))
 	cur = cur[:sets[sm].materialize(cur)]
-	ksample := e.plan != nil && e.plan.SampleKWay()
+	ksample := e.in.plan != nil && e.in.plan.SampleKWay()
 	for i, s := range sets {
 		if i == sm || len(cur) == 0 {
 			continue
@@ -332,7 +331,7 @@ func (e *Executor) kwayAnyChain(ctx context.Context, sets []*Set, dst []uint32, 
 			}
 		}
 		if ksample {
-			e.plan.RecordProbe(int(s.rep), time.Since(t0), len(cur))
+			e.in.plan.RecordProbe(int(s.rep), time.Since(t0), len(cur))
 		}
 		cur = cur[:k]
 	}

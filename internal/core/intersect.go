@@ -94,14 +94,14 @@ func CountMergeParallel(a, b *Set, workers int) int {
 // checks ctx (when non-nil) before each; it returns the match count and the
 // number of surviving segment pairs.
 //
-// st, when non-nil, receives the segment-survival counters at range
-// granularity; the pair tally itself is a register increment kept
-// unconditional so the disabled path stays branch-free. kst, when non-nil,
-// additionally receives the per-pair kernel-dispatch histogram — callers pass
-// it for 1 in stats.KernelSampleRate queries (see scratch.kernelSampled), so
-// the histogram's per-pair cost is paid on a thin sample while every counter
-// stays exact.
-func mergeRange(ctx context.Context, x, y *Set, lo, hi int, dst []uint32, emit Visitor, st, kst *stats.Shard) (n, pairs int, err error) {
+// The writer's stats shard, when attached, receives the segment-survival
+// counters at range granularity; the pair tally itself is a register
+// increment kept unconditional so the disabled path stays branch-free. On 1
+// in stats.KernelSampleRate ranges (instr.kernelShard) the shard also
+// receives the per-pair kernel-dispatch histogram, so the histogram's
+// per-pair cost is paid on a thin sample while every counter stays exact.
+func (in *instr) mergeRange(ctx context.Context, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int, err error) {
+	kst := in.kernelShard()
 	xw, yw := x.bm.Words(), y.bm.Words()
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
@@ -196,9 +196,9 @@ func mergeRange(ctx context.Context, x, y *Set, lo, hi int, dst []uint32, emit V
 		}
 		blo = bhi
 	}
-	if st != nil {
-		st.Add(stats.CtrSegPairs, uint64(pairs))
-		st.Add(stats.CtrSegmentsScanned, uint64((hi-lo)*spw))
+	if in.st != nil {
+		in.st.Add(stats.CtrSegPairs, uint64(pairs))
+		in.st.Add(stats.CtrSegmentsScanned, uint64((hi-lo)*spw))
 	}
 	return n, pairs, err
 }
@@ -206,11 +206,12 @@ func mergeRange(ctx context.Context, x, y *Set, lo, hi int, dst []uint32, emit V
 // hashProbe is the hash strategy's one loop: elems (sorted, typically the
 // smaller set's reordered array) each probe large's bitmap, and only
 // elements whose bit is set are compared against the one segment list the
-// bit selects (Section VI). Matches go to the (dst, emit) sink; ctx (when
-// non-nil) is checked every ctxProbeBlock probes.
-func hashProbe(ctx context.Context, elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
+// bit selects (Section VI). Matches go to the (dst, emit) sink and the
+// probe/survivor counters to the writer's stats shard; ctx (when non-nil)
+// is checked every ctxProbeBlock probes.
+func (in *instr) hashProbe(ctx context.Context, elems []uint32, large *Set, dst []uint32, emit Visitor) (int, error) {
 	return blocks(ctx, len(elems), ctxProbeBlock, dst, func(lo, hi int, dst []uint32) int {
-		return hashProbeElems(elems[lo:hi], large, dst, emit, st)
+		return in.hashProbeElems(elems[lo:hi], large, dst, emit)
 	})
 }
 
@@ -228,11 +229,19 @@ const gatherProbeMaxBits = 1 << 32
 // gathered probe stage (simd.ProbeStage) sixteen elements at a time; the
 // surviving segment scans, match order and counters are identical either
 // way.
-func hashProbeElems(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
+func (in *instr) hashProbeElems(elems []uint32, large *Set, dst []uint32, emit Visitor) int {
 	if simd.GatherProbeActive() && len(elems) >= 16 && large.bm.Bits() <= gatherProbeMaxBits {
-		return hashProbeElemsGather(elems, large, dst, emit, st)
+		return in.hashProbeElemsGather(elems, large, dst, emit)
 	}
-	return hashProbeElemsScalar(elems, large, dst, emit, st)
+	return in.hashProbeElemsScalar(elems, large, dst, emit)
+}
+
+// noteProbes records one probe pass's probe and survivor counts.
+func (in *instr) noteProbes(probes, survivors int) {
+	if in.st != nil {
+		in.st.Add(stats.CtrHashProbes, uint64(probes))
+		in.st.Add(stats.CtrHashSurvivors, uint64(survivors))
+	}
 }
 
 // hashProbeElemsGather is hashProbeElems with the probe half vectorized:
@@ -242,7 +251,7 @@ func hashProbeElems(elems []uint32, large *Set, dst []uint32, emit Visitor, st *
 // scalar path runs, reading the survivor's position instead of recomputing
 // it. The out arrays live on the stack (ProbeStage's pointers do not
 // escape), keeping the warm path allocation-free.
-func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
+func (in *instr) hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor) int {
 	n := 0
 	survivors := 0
 	lb := large.bm
@@ -272,21 +281,18 @@ func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor
 			}
 		}
 	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(done))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
+	in.noteProbes(done, survivors)
 	// Sub-16 tail: the scalar loop finishes the remainder (and adds its own
 	// share of the counters).
 	if done < len(elems) {
-		n += hashProbeElemsScalar(elems[done:], large, tail(dst, n), emit, st)
+		n += in.hashProbeElemsScalar(elems[done:], large, tail(dst, n), emit)
 	}
 	return n
 }
 
 // hashProbeElemsScalar is the scalar probe loop — the reference semantics of
 // hashProbeElems and the only path below the AVX-512 rung.
-func hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
+func (in *instr) hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor) int {
 	n := 0
 	survivors := 0
 	lb := large.bm
@@ -312,10 +318,7 @@ func hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor
 			n = put(dst, n, emit, x)
 		}
 	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
+	in.noteProbes(len(elems), survivors)
 	return n
 }
 
@@ -390,7 +393,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
 		start := time.Now()
-		n, _ := crossRun(nil, e.plan, &e.denseAnd, a, b, nil, nil, e.st)
+		n, _ := e.crossRun(nil, a, b, nil, nil)
 		return Breakdown{SegmentTime: time.Since(start), Count: n}
 	}
 	x, y := ordered(a, b)
@@ -416,7 +419,9 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 // CountMergeBreakdown is the pooled-executor compatibility wrapper; hot
 // breakdown sweeps should hold an Executor to keep its staging buffer warm.
 func CountMergeBreakdown(a, b *Set) Breakdown {
-	return pooled(func(e *Executor) Breakdown { return e.CountMergeBreakdown(a, b) })
+	var bd Breakdown
+	pooled(func(e *Executor) int { bd = e.CountMergeBreakdown(a, b); return 0 })
+	return bd
 }
 
 // HashBreakdown reports where time went during a skewed-input (FESIAhash)
@@ -443,7 +448,7 @@ func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
 		start := time.Now()
-		n, _ := crossRun(nil, e.plan, &e.denseAnd, a, b, nil, nil, e.st)
+		n, _ := e.crossRun(nil, a, b, nil, nil)
 		return HashBreakdown{
 			ScanTime: time.Since(start),
 			Probes:   min(a.n, b.n),
@@ -480,7 +485,9 @@ func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 // CountHashBreakdown is the pooled-executor compatibility wrapper for the
 // hash-side breakdown.
 func CountHashBreakdown(a, b *Set) HashBreakdown {
-	return pooled(func(e *Executor) HashBreakdown { return e.CountHashBreakdown(a, b) })
+	var bd HashBreakdown
+	pooled(func(e *Executor) int { bd = e.CountHashBreakdown(a, b); return 0 })
+	return bd
 }
 
 // HashProbe is one element's outcome in a hash-strategy probe trace.

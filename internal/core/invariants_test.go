@@ -96,7 +96,7 @@ func TestInvariantParallelOrderExact(t *testing.T) {
 		chunk := (words + workers - 1) / workers
 		np := 0
 		for lo := 0; lo < words; lo += chunk {
-			n, _, _ := mergeRange(nil, x, y, lo, min(lo+chunk, words), par[np:], nil, nil, nil)
+			n, _, _ := new(instr).mergeRange(nil, x, y, lo, min(lo+chunk, words), par[np:], nil)
 			np += n
 		}
 		if ns != np || ns != CountMergeParallel(a, b, workers) {

@@ -251,23 +251,23 @@ func TestPlannerGlobalAttach(t *testing.T) {
 	defer EnablePlanner(nil)
 	EnablePlanner(planner.New(planner.WithMode(planner.ModePrior)))
 	ex := NewExecutor()
-	if ex.plan == nil {
+	if ex.in.plan == nil {
 		t.Fatal("executor did not attach to the active model")
 	}
 	if PlannerModel() == nil {
 		t.Fatal("PlannerModel lost the active model")
 	}
 	EnablePlanner(nil)
-	if NewExecutor().plan != nil {
+	if NewExecutor().in.plan != nil {
 		t.Fatal("executor attached after deactivation")
 	}
 	ex.DisablePlanner()
-	if ex.plan != nil || ex.planModel != nil {
+	if ex.in.plan != nil || ex.in.model != nil {
 		t.Fatal("DisablePlanner left the handle in place")
 	}
 	// ModeOff models never attach, even when passed directly.
 	ex.EnablePlanner(planner.New(planner.WithMode(planner.ModeOff)))
-	if ex.plan != nil {
+	if ex.in.plan != nil {
 		t.Fatal("ModeOff model attached")
 	}
 }

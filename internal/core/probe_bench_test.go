@@ -43,7 +43,7 @@ func TestHashProbeNoHoistParity(t *testing.T) {
 		if small.n > large.n {
 			small, large = large, small
 		}
-		want := hashProbeElems(small.reordered, large, nil, nil, nil)
+		want := new(instr).hashProbeElems(small.reordered, large, nil, nil)
 		if got := hashProbeRangeNoHoist(small, large, 0, small.n, nil); got != want {
 			t.Fatalf("sizes %v: no-hoist %d, hoisted %d", sizes, got, want)
 		}
@@ -77,7 +77,7 @@ func BenchmarkHashProbeHoist(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("%s/hoisted", r.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink += hashProbeElems(small.reordered, large, nil, nil, nil)
+				benchSink += new(instr).hashProbeElems(small.reordered, large, nil, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/nohoist", r.name), func(b *testing.B) {

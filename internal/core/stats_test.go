@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"fesia/internal/planner"
 	"fesia/internal/stats"
 )
 
@@ -319,5 +321,41 @@ func TestKWayTwoSetStats(t *testing.T) {
 				t.Errorf("%s: counter %s = %d, want %d", c.name, ctr.Name(), got, wantCtr[ctr])
 			}
 		}
+	}
+}
+
+// TestPooledExecutorsRecycleShards: when the GC drops a pooled default
+// executor, its stats shard and planner shard go back for the next executor
+// to reuse, so pool churn under GC neither grows the sink or the model nor
+// loses a count.
+func TestPooledExecutorsRecycleShards(t *testing.T) {
+	k := stats.New()
+	EnableStats(k)
+	defer EnableStats(nil)
+	m := planner.New()
+	EnablePlanner(m)
+	defer EnablePlanner(nil)
+	a, b := benchPair(2_000, 0.3, DefaultConfig())
+	runtime.GC() // empty the executor pool of executors attached to other sinks
+	runtime.GC()
+
+	const rounds, calls = 256, 10
+	for range rounds {
+		for range calls {
+			Count(a, b)
+		}
+		runtime.GC() // the pool's primary cache moves to its victim cache,
+		runtime.GC() // which this cycle drops: the executor is unreachable
+	}
+	const bound = 16
+	if n := k.NumShards(); n > bound {
+		t.Errorf("%d stats shards registered after %d pooled-executor drops, want <= %d", n, rounds, bound)
+	}
+	if n := m.NumShards(); n > bound {
+		t.Errorf("%d planner shards registered after %d pooled-executor drops, want <= %d", n, rounds, bound)
+	}
+	snap := k.Snapshot()
+	if got := snap.Counter(stats.CtrQueriesMerge) + snap.Counter(stats.CtrQueriesHash); got != rounds*calls {
+		t.Errorf("pair queries recorded = %d, want %d", got, rounds*calls)
 	}
 }

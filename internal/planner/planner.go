@@ -224,8 +224,9 @@ type Model struct {
 	cost  [numEntries]uint64
 	kCost [numKReps]uint64
 
-	mu     sync.Mutex // guards shards
+	mu     sync.Mutex // guards shards and free
 	shards []*Shard
+	free   []*Shard // released shards, handed to the next NewHandle
 
 	handleSeq atomic.Uint64 // handle counter, seeds per-handle rng streams
 
@@ -303,10 +304,12 @@ func (m *Model) loadCost(entry int) float64 {
 	return math.Float64frombits(atomic.LoadUint64(&m.cost[entry]))
 }
 
-// NewHandle registers and returns a fresh decision handle. A Handle is
-// single-goroutine, like the executor that owns it; give each executor (and
-// each parallel worker slot) its own. In ModePrior the handle carries no
-// shard — decisions are prior-only and nothing is recorded.
+// NewHandle returns a fresh decision handle. A Handle is single-goroutine,
+// like the executor that owns it; give each executor (and each parallel
+// worker slot) its own. In ModeLearned the handle records into a sample
+// shard registered with the model — a released one when there is one — and
+// in ModePrior it carries none: decisions are prior-only and nothing is
+// recorded.
 func (m *Model) NewHandle() *Handle {
 	h := &Handle{m: m, exploreEvery: m.exploreEvery, sampleEvery: m.sampleEvery}
 	// Seed the xorshift state per handle (never zero — zero is the xorshift
@@ -315,12 +318,38 @@ func (m *Model) NewHandle() *Handle {
 	s ^= s >> 30
 	h.rng = s | 1
 	if m.mode == ModeLearned {
-		h.shard = &Shard{}
 		m.mu.Lock()
-		m.shards = append(m.shards, h.shard)
+		if n := len(m.free); n > 0 {
+			h.shard = m.free[n-1]
+			m.free = m.free[:n-1]
+		} else {
+			h.shard = &Shard{}
+			m.shards = append(m.shards, h.shard)
+		}
 		m.mu.Unlock()
 	}
 	return h
+}
+
+// Release hands the shard of a handle that will not be used again back to
+// the model. Shards are never unregistered — re-fit folds deltas of their
+// running totals — so the next NewHandle reuses it instead of registering
+// another.
+func (m *Model) Release(h *Handle) {
+	if h.shard == nil {
+		return
+	}
+	m.mu.Lock()
+	m.free = append(m.free, h.shard)
+	m.mu.Unlock()
+	h.shard = nil
+}
+
+// NumShards returns the number of registered sample shards.
+func (m *Model) NumShards() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.shards)
 }
 
 // Handle is one executor's (or worker slot's) view of the model: shared

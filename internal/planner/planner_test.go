@@ -249,3 +249,24 @@ func TestConcurrentRecordRefit(t *testing.T) {
 		t.Fatal("no re-fit ran")
 	}
 }
+
+// TestModelReleaseReusesShard: a released handle's sample shard goes to the
+// next NewHandle, so handle churn never grows the model's registry.
+func TestModelReleaseReusesShard(t *testing.T) {
+	m := New()
+	h := m.NewHandle()
+	m.Release(h)
+	m.NewHandle()
+	if n := m.NumShards(); n != 1 {
+		t.Fatalf("NumShards = %d after release and reuse, want 1", n)
+	}
+	m.NewHandle()
+	if n := m.NumShards(); n != 2 {
+		t.Fatalf("NumShards = %d, want 2", n)
+	}
+	prior := New(WithMode(ModePrior))
+	prior.Release(prior.NewHandle())
+	if n := prior.NumShards(); n != 0 {
+		t.Fatalf("prior-mode model registered %d shards, want 0", n)
+	}
+}

@@ -112,11 +112,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// gather is one admission slot's scatter-gather scratch: per-shard counts
-// and errors, written only by the parts of the one query holding the slot.
-type gather struct {
+// slotState is one admission slot's tier state, written only by the one query
+// holding the slot: the scatter-gather scratch (per-shard counts and errors,
+// each written by its own part), the slot owner's stats shard, and its tier
+// trace cell (nil without a tracer).
+type slotState struct {
 	counts []int
 	errs   []error
+	st     *stats.Shard
+	tr     *trace.Cell
 }
 
 // Tier is the sharded serving layer. Construct with NewTier; safe for
@@ -132,18 +136,12 @@ type Tier struct {
 
 	// exs[shard*MaxConcurrent+slot] is the executor pinned to that (shard,
 	// slot) pair; setsBufs is its set-pointer scratch. Both survive swaps —
-	// they hold query scratch, never corpus data.
+	// they hold query scratch, never corpus data. Each executor's stats
+	// shard is tagged with its document shard and records the pair's
+	// scatter parts: the `shard`-labelled Prometheus/expvar series.
 	exs      []*core.Executor
 	setsBufs [][]*core.Set
-	gathers  []gather // per-slot scatter scratch
-
-	// slotStats[slot] is the single-writer stats shard of the one query
-	// holding that admission slot.
-	slotStats []*stats.Shard
-
-	// matrix is the per-(shard × slot) serve-metrics matrix behind the
-	// `shard`-labelled Prometheus/expvar series; always on.
-	matrix *stats.ServeMatrix
+	slots    []slotState // per-admission-slot state
 
 	// tracer is the per-query tracing layer; nil unless Config enabled it.
 	// exemplars links LatServe buckets to retained trace IDs.
@@ -181,24 +179,6 @@ func NewTier(lists [][]uint32, cfg Config) (*Tier, error) {
 	t.epoch.Store(e)
 	t.lim = newLimiter(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxQueueWait)
 	t.shed = newShedder(cfg.ShedTargetP99, cfg.MaxShedFraction, cfg.ShedMinSamples)
-	t.exs = make([]*core.Executor, cfg.Shards*cfg.MaxConcurrent)
-	t.setsBufs = make([][]*core.Set, len(t.exs))
-	for i := range t.exs {
-		ex := core.NewExecutor()
-		ex.EnableStats(t.sink)
-		t.exs[i] = ex
-	}
-	t.gathers = make([]gather, cfg.MaxConcurrent)
-	t.slotStats = make([]*stats.Shard, cfg.MaxConcurrent)
-	for s := range t.gathers {
-		t.gathers[s] = gather{
-			counts: make([]int, cfg.Shards),
-			errs:   make([]error, cfg.Shards),
-		}
-		t.slotStats[s] = t.sink.NewShard()
-	}
-	t.matrix = stats.NewServeMatrix(cfg.Shards, cfg.MaxConcurrent)
-	t.sink.SetServeMatrix(t.matrix)
 	if cfg.TraceSample > 0 || cfg.SlowQuery > 0 {
 		t.tracer = trace.New(trace.Config{
 			Shards:  cfg.Shards,
@@ -208,10 +188,28 @@ func NewTier(lists [][]uint32, cfg Config) (*Tier, error) {
 		})
 		t.exemplars = stats.NewExemplarStore()
 		t.sink.SetServeExemplars(t.exemplars)
-		for shard := 0; shard < cfg.Shards; shard++ {
-			for slot := 0; slot < cfg.MaxConcurrent; slot++ {
-				t.exs[shard*cfg.MaxConcurrent+slot].SetTraceCell(t.tracer.ShardCell(shard, slot))
-			}
+	}
+	t.exs = make([]*core.Executor, cfg.Shards*cfg.MaxConcurrent)
+	t.setsBufs = make([][]*core.Set, len(t.exs))
+	for i := range t.exs {
+		shard, slot := i/cfg.MaxConcurrent, i%cfg.MaxConcurrent
+		ex := core.NewExecutor()
+		ex.EnableStats(t.sink)
+		ex.StatsShard().TagServeShard(shard)
+		if t.tracer != nil {
+			ex.SetTraceCell(t.tracer.ShardCell(shard, slot))
+		}
+		t.exs[i] = ex
+	}
+	t.slots = make([]slotState, cfg.MaxConcurrent)
+	for s := range t.slots {
+		t.slots[s] = slotState{
+			counts: make([]int, cfg.Shards),
+			errs:   make([]error, cfg.Shards),
+			st:     t.sink.NewShard(),
+		}
+		if t.tracer != nil {
+			t.slots[s].tr = t.tracer.TierCell(s)
 		}
 	}
 	if cfg.ShedTargetP99 > 0 {
@@ -301,22 +299,22 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 		return 0, nil, err
 	}
 	defer t.lim.release(slot)
-	st := t.slotStats[slot]
-	st.Inc(stats.CtrServeAdmitted)
+	s := &t.slots[slot]
+	s.st.Inc(stats.CtrServeAdmitted)
 	start := time.Now()
 	if tr != nil {
 		tr.Begin(slot, arrival)
-		tr.TierCell(slot).Span(trace.KindQueue, trace.ArmNone, 0,
+		s.tr.Span(trace.KindQueue, trace.ArmNone, 0,
 			arrival, start.Sub(arrival), 0, 0)
 	}
 	n, err := t.scatter(ctx, slot, items)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			st.Inc(stats.CtrServeDeadline)
+			s.st.Inc(stats.CtrServeDeadline)
 		}
 		// Failed queries still commit their trace — a deadline expiry is
 		// exactly the slow query the tail capture exists for.
-		capd := t.commitTrace(tr, st, slot, forced, trace.FlagError, len(items), 0, arrival, start, time.Since(start))
+		capd := t.commitTrace(slot, forced, trace.FlagError, len(items), 0, arrival, start, time.Since(start))
 		return 0, capd, err
 	}
 	// Only successful queries steer the shedder: a deadline expiry's
@@ -324,8 +322,8 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 	// here closes the latency observation AND the trace's scatter/root
 	// spans — tracing must not add reads of its own past the arrival stamp.
 	el := time.Since(start)
-	st.Observe(stats.LatServe, el)
-	capd := t.commitTrace(tr, st, slot, forced, 0, len(items), n, arrival, start, el)
+	s.st.Observe(stats.LatServe, el)
+	capd := t.commitTrace(slot, forced, 0, len(items), n, arrival, start, el)
 	return n, capd, nil
 }
 
@@ -333,12 +331,13 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 // reads the stats path already paid for), decides retention and (for forced
 // captures) renders the breakdown. Called by the slot owner before release;
 // no-op without a tracer, allocation-free unless forced.
-func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced bool, flags uint8, nitems, count int, arrival, start time.Time, el time.Duration) *trace.Captured {
+func (t *Tier) commitTrace(slot int, forced bool, flags uint8, nitems, count int, arrival, start time.Time, el time.Duration) *trace.Captured {
+	tr, s := t.tracer, &t.slots[slot]
 	if tr == nil {
 		return nil
 	}
 	d := el + start.Sub(arrival)
-	cell := tr.TierCell(slot)
+	cell := s.tr
 	if cell.Truncated() {
 		flags |= trace.FlagTruncated
 	}
@@ -349,11 +348,11 @@ func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced b
 	v := tr.Finish(slot, d, forced)
 	switch v.Reason {
 	case trace.ReasonSampled:
-		st.Inc(stats.CtrTraceSampled)
+		s.st.Inc(stats.CtrTraceSampled)
 	case trace.ReasonSlow:
-		st.Inc(stats.CtrTraceSlow)
+		s.st.Inc(stats.CtrTraceSlow)
 	case trace.ReasonForced:
-		st.Inc(stats.CtrTraceForced)
+		s.st.Inc(stats.CtrTraceForced)
 	default:
 		return nil
 	}
@@ -365,8 +364,8 @@ func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced b
 }
 
 // scatter fans the query out to every shard on the pool and sums the counts.
-// Parts write only their own cells of the slot's gather scratch (and their
-// own (shard × slot) cells of the serve matrix and trace topology); the
+// Parts write only their own cells of the slot's gather scratch (and the
+// stats shard and trace cell of their own (shard × slot) executor); the
 // first error (by shard order) wins, matching the deterministic
 // single-shard path. The tier-level scatter span is closed by commitTrace
 // off the caller's clock reads — this function reads no clocks of its own.
@@ -375,12 +374,11 @@ func (t *Tier) scatter(ctx context.Context, slot int, items []uint32) (int, erro
 	defer e.drain.Release()
 	ns := len(e.shards)
 	if ns == 1 {
-		return t.queryPart(ctx, e, 0, slot, slot, items)
+		return t.queryPart(ctx, e, 0, slot, items)
 	}
-	g := &t.gathers[slot]
+	g := &t.slots[slot]
 	t.cfg.Pool.Do(ns, func(part int) {
-		i := part*t.cfg.MaxConcurrent + slot
-		g.counts[part], g.errs[part] = t.queryPart(ctx, e, part, slot, i, items)
+		g.counts[part], g.errs[part] = t.queryPart(ctx, e, part, slot, items)
 	})
 	total := 0
 	for p := 0; p < ns; p++ {
@@ -393,27 +391,25 @@ func (t *Tier) scatter(ctx context.Context, slot int, items []uint32) (int, erro
 }
 
 // queryPart runs one scatter part: the query against document shard `part`
-// on the executor pinned to (part, slot) — index i in the executor matrix.
-// It records the part into the per-shard serve matrix and, when tracing,
-// arms the (shard × slot) staging cell before the executor runs and appends
-// the part's span after.
-func (t *Tier) queryPart(ctx context.Context, e *epoch, part, slot, i int, items []uint32) (int, error) {
+// on the executor pinned to (part, slot). It records the part into that
+// executor's tagged stats shard and, when tracing, arms the (shard × slot)
+// staging cell before the executor runs and appends the part's span after.
+func (t *Tier) queryPart(ctx context.Context, e *epoch, part, slot int, items []uint32) (int, error) {
+	i := part*t.cfg.MaxConcurrent + slot
+	ex := t.exs[i]
 	tr := t.tracer
 	if tr != nil {
-		tr.ShardCell(part, slot).Reset(tr.TierCell(slot).Base())
+		tr.ShardCell(part, slot).Reset(t.slots[slot].tr.Base())
 	}
 	ps := time.Now()
-	t.matrix.Enter(part, slot)
+	st := ex.StatsShard()
+	st.EnterPart()
 	if d := t.partDelay; d != nil {
 		d(part)
 	}
-	n, err := queryShard(ctx, e.shards[part], t.exs[i], &t.setsBufs[i], items)
+	n, err := queryShard(ctx, e.shards[part], ex, &t.setsBufs[i], items)
 	el := time.Since(ps)
-	if err != nil {
-		t.matrix.ExitErr(part, slot)
-	} else {
-		t.matrix.ExitOK(part, slot, el)
-	}
+	st.ExitPart(el, err)
 	if tr != nil {
 		var flags uint8
 		if err != nil {

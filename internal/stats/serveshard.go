@@ -7,87 +7,55 @@ import (
 
 // Per-shard serving metrics. The tier's aggregate LatServe histogram answers
 // "how slow is the tier?" but cannot answer "which shard is dragging it?" —
-// a straggler shard hides inside the scatter-gather max. The ServeMatrix
-// breaks the serve-side counters out per document shard, following the same
-// single-writer discipline as the executor matrix it mirrors: cell (shard s,
-// slot c) is written only by the scatter part of the one admitted query
-// holding slot c while it runs on shard s, so updates are relaxed
-// load/store pairs with no locks and no contention. Readers merge the slot
-// dimension away lazily, leaving one row per shard for the `shard`-labelled
-// Prometheus/expvar series.
+// a straggler shard hides inside the scatter-gather max. So the serving tier
+// tags the stats shard of every executor it pins to (document shard k, slot
+// s) with k, and records each scatter part into that shard's part block.
+// The pinned executor is already that shard's single writer, so part updates
+// are relaxed load/store pairs with no locks and no contention, and the
+// (shard × slot) serve matrix is simply the set of tagged shards: Snapshot
+// merges the slot dimension away, one row per document shard, for the
+// `shard`-labelled Prometheus/expvar series.
 
-// serveCell is one (shard × slot) cell of the matrix: query/error/deadline
-// counts, the enter/exit pair deriving the per-shard in-flight gauge, and a
-// latency histogram of that shard's part executions. Padded so neighbouring
-// slots' hot words never share a cache line.
-type serveCell struct {
+// servePart is a tagged shard's scatter-part block: query/error counts, the
+// enter/exit pair deriving the per-shard in-flight gauge, and a latency
+// histogram of the parts that completed.
+type servePart struct {
 	queries  uint64
 	errors   uint64
 	enter    uint64
 	exit     uint64
 	sumNanos uint64
 	lat      [LatBuckets]uint64
-	_        [3]uint64 // pad to a multiple of 64 bytes (45 words -> 48)
 }
 
-// ServeMatrix is the per-(shard × slot) serving-metrics matrix. Construct
-// with NewServeMatrix and register it on the tier's Sink with
-// SetServeMatrix; safe for concurrent use under the single-writer-per-cell
-// contract.
-type ServeMatrix struct {
-	shards int
-	slots  int
-	cells  []serveCell
-}
+// TagServeShard marks s as the stats shard of an executor pinned to
+// document shard k, so its scatter parts land in row k of
+// Snapshot.ServeShards.
+func (s *Shard) TagServeShard(k int) { atomic.StoreInt64(&s.tag, int64(k)+1) }
 
-// NewServeMatrix returns a zeroed matrix for `shards` document shards and
-// `slots` admission slots.
-func NewServeMatrix(shards, slots int) *ServeMatrix {
-	return &ServeMatrix{
-		shards: shards,
-		slots:  slots,
-		cells:  make([]serveCell, shards*slots),
+// EnterPart marks one scatter part starting — the increment half of the
+// per-shard in-flight gauge.
+func (s *Shard) EnterPart() { relaxedAdd(&s.part.enter, 1) }
+
+// ExitPart marks one scatter part finishing: a successful part records its
+// latency d, a failed one (cancellation, deadline, fault) counts an error.
+func (s *Shard) ExitPart(d time.Duration, err error) {
+	p := &s.part
+	relaxedAdd(&p.exit, 1)
+	if err != nil {
+		relaxedAdd(&p.errors, 1)
+		return
 	}
-}
-
-// NumShards returns the matrix's shard dimension.
-func (m *ServeMatrix) NumShards() int { return m.shards }
-
-// NumSlots returns the matrix's slot dimension.
-func (m *ServeMatrix) NumSlots() int { return m.slots }
-
-func (m *ServeMatrix) cell(shard, slot int) *serveCell {
-	return &m.cells[shard*m.slots+slot]
-}
-
-// Enter marks one scatter part starting on (shard, slot) — the increment
-// half of the per-shard in-flight gauge.
-func (m *ServeMatrix) Enter(shard, slot int) {
-	relaxedAdd(&m.cell(shard, slot).enter, 1)
-}
-
-// ExitOK marks one scatter part finishing successfully on (shard, slot),
-// recording its latency into the shard's histogram.
-func (m *ServeMatrix) ExitOK(shard, slot int, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	c := m.cell(shard, slot)
-	relaxedAdd(&c.exit, 1)
-	relaxedAdd(&c.queries, 1)
-	relaxedAdd(&c.sumNanos, uint64(d))
-	relaxedAdd(&c.lat[latBucket(d)], 1)
+	relaxedAdd(&p.queries, 1)
+	relaxedAdd(&p.sumNanos, uint64(d))
+	relaxedAdd(&p.lat[latBucket(d)], 1)
 }
 
-// ExitErr marks one scatter part finishing with an error (cancellation,
-// deadline, fault) on (shard, slot).
-func (m *ServeMatrix) ExitErr(shard, slot int) {
-	c := m.cell(shard, slot)
-	relaxedAdd(&c.exit, 1)
-	relaxedAdd(&c.errors, 1)
-}
-
-// ServeShardStats is one shard's row of the matrix, merged across slots.
+// ServeShardStats is one document shard's row of the serve matrix, merged
+// across slots.
 type ServeShardStats struct {
 	Shard    int
 	Queries  uint64 // scatter parts completed successfully on this shard
@@ -96,32 +64,20 @@ type ServeShardStats struct {
 	Latency  LatencyStats
 }
 
-// Snapshot merges the slot dimension away, returning one row per shard.
-// Safe to call concurrently with writers; allocates the result rows only.
-func (m *ServeMatrix) Snapshot() []ServeShardStats {
-	rows := make([]ServeShardStats, m.shards)
-	for s := 0; s < m.shards; s++ {
-		r := &rows[s]
-		r.Shard = s
-		var enter, exit uint64
-		for c := 0; c < m.slots; c++ {
-			cell := m.cell(s, c)
-			r.Queries += atomic.LoadUint64(&cell.queries)
-			r.Errors += atomic.LoadUint64(&cell.errors)
-			enter += atomic.LoadUint64(&cell.enter)
-			exit += atomic.LoadUint64(&cell.exit)
-			r.Latency.SumNanos += atomic.LoadUint64(&cell.sumNanos)
-			for b := range cell.lat {
-				n := atomic.LoadUint64(&cell.lat[b])
-				r.Latency.Buckets[b] += n
-				r.Latency.Count += n
-			}
-		}
-		if enter > exit { // torn read across cells; clamp like PoolInFlight
-			r.InFlight = enter - exit
-		}
+// add merges one tagged shard's part block into the row.
+func (r *ServeShardStats) add(p *servePart) {
+	// exit before enter: every exit follows its enter, so the difference
+	// cannot underflow however the loads interleave with the writer.
+	exit := atomic.LoadUint64(&p.exit)
+	r.InFlight += atomic.LoadUint64(&p.enter) - exit
+	r.Queries += atomic.LoadUint64(&p.queries)
+	r.Errors += atomic.LoadUint64(&p.errors)
+	r.Latency.SumNanos += atomic.LoadUint64(&p.sumNanos)
+	for b := range p.lat {
+		n := atomic.LoadUint64(&p.lat[b])
+		r.Latency.Buckets[b] += n
+		r.Latency.Count += n
 	}
-	return rows
 }
 
 // ---------------------------------------------------------------------------

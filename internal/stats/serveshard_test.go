@@ -1,24 +1,45 @@
 package stats
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// serveMatrix registers a (shards × slots) grid of tagged shards on k — the
+// stats shards of the executors a serving tier pins to each (document
+// shard, slot) pair — indexed [shard][slot].
+func serveMatrix(k *Sink, shards, slots int) [][]*Shard {
+	m := make([][]*Shard, shards)
+	for sh := range m {
+		for range slots {
+			s := k.NewShard()
+			s.TagServeShard(sh)
+			m[sh] = append(m[sh], s)
+		}
+	}
+	return m
+}
+
+// TestServeMatrixSnapshotMergesSlots: Snapshot folds every tagged shard into
+// its document shard's row, slots merged away, with the in-flight gauge
+// derived from the enter/exit pair.
 func TestServeMatrixSnapshotMergesSlots(t *testing.T) {
-	m := NewServeMatrix(2, 3)
+	k := New()
+	m := serveMatrix(k, 2, 3)
+	k.NewShard() // an untagged shard contributes no row
 	// Shard 0: one part per slot; shard 1: parts on slot 0 only, one error.
 	for slot := 0; slot < 3; slot++ {
-		m.Enter(0, slot)
-		m.ExitOK(0, slot, time.Duration(slot+1)*time.Millisecond)
+		m[0][slot].EnterPart()
+		m[0][slot].ExitPart(time.Duration(slot+1)*time.Millisecond, nil)
 	}
-	m.Enter(1, 0)
-	m.ExitErr(1, 0)
-	m.Enter(1, 0) // left in flight
+	m[1][0].EnterPart()
+	m[1][0].ExitPart(time.Millisecond, context.Canceled)
+	m[1][0].EnterPart() // left in flight
 
-	rows := m.Snapshot()
+	rows := k.Snapshot().ServeShards
 	if len(rows) != 2 {
 		t.Fatalf("snapshot has %d rows, want 2", len(rows))
 	}
@@ -29,30 +50,32 @@ func TestServeMatrixSnapshotMergesSlots(t *testing.T) {
 	if r0.Latency.Count != 3 || r0.Latency.SumNanos != uint64(6*time.Millisecond) {
 		t.Fatalf("shard 0 latency mismatch: %+v", r0.Latency)
 	}
-	if r1.Queries != 0 || r1.Errors != 1 || r1.InFlight != 1 {
+	if r1.Shard != 1 || r1.Queries != 0 || r1.Errors != 1 || r1.InFlight != 1 || r1.Latency.Count != 0 {
 		t.Fatalf("shard 1 row mismatch: %+v", r1)
 	}
 }
 
 // TestServeMatrixConcurrentSingleWriters exercises the full (shard × slot)
-// matrix under its intended contract — one goroutine per slot, each writing
-// every shard's cell of its own column — with snapshot readers merging
-// concurrently. Run under -race this validates the relaxed load/store
-// discipline end to end.
+// grid of tagged shards under its intended contract — one goroutine per
+// slot, each writing every shard's cell of its own column — with snapshot
+// readers merging concurrently. Run under -race this validates the relaxed
+// load/store discipline end to end.
 func TestServeMatrixConcurrentSingleWriters(t *testing.T) {
 	const (
 		shards  = 4
 		slots   = 8
 		perSlot = 2000
 	)
-	m := NewServeMatrix(shards, slots)
+	k := New()
+	m := serveMatrix(k, shards, slots)
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	// Snapshot readers race the writers. A mid-flight snapshot may observe
 	// a query whose latency is not yet recorded (or vice versa) — the
 	// equality only holds at quiescence — but every per-shard counter must
-	// be monotone across consecutive snapshots, and never overshoot the
-	// final totals.
+	// be monotone across consecutive snapshots, the in-flight gauge can
+	// never exceed one part per slot, and nothing may overshoot the final
+	// totals.
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func() {
@@ -64,10 +87,13 @@ func TestServeMatrixConcurrentSingleWriters(t *testing.T) {
 					return
 				default:
 				}
-				for i, row := range m.Snapshot() {
+				for i, row := range k.Snapshot().ServeShards {
 					p := prev[i]
 					if row.Queries < p.Queries || row.Errors < p.Errors || row.Latency.Count < p.Latency.Count {
 						t.Errorf("shard %d: counters went backwards: %+v after %+v", row.Shard, row, p)
+					}
+					if row.InFlight > slots {
+						t.Errorf("shard %d: inflight %d exceeds %d slots", row.Shard, row.InFlight, slots)
 					}
 					prev[i] = row
 				}
@@ -81,11 +107,12 @@ func TestServeMatrixConcurrentSingleWriters(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < perSlot; i++ {
 				for sh := 0; sh < shards; sh++ {
-					m.Enter(sh, slot)
+					s := m[sh][slot]
+					s.EnterPart()
 					if i%7 == 3 {
-						m.ExitErr(sh, slot)
+						s.ExitPart(0, context.DeadlineExceeded)
 					} else {
-						m.ExitOK(sh, slot, time.Duration(i%100)*time.Microsecond)
+						s.ExitPart(time.Duration(i%100)*time.Microsecond, nil)
 					}
 				}
 			}
@@ -95,7 +122,7 @@ func TestServeMatrixConcurrentSingleWriters(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	rows := m.Snapshot()
+	rows := k.Snapshot().ServeShards
 	wantErr := uint64(0)
 	wantOK := uint64(0)
 	for i := 0; i < perSlot; i++ {
@@ -117,15 +144,15 @@ func TestServeMatrixConcurrentSingleWriters(t *testing.T) {
 }
 
 func TestServeMatrixWriteZeroAlloc(t *testing.T) {
-	m := NewServeMatrix(2, 2)
+	m := serveMatrix(New(), 2, 2)
 	allocs := testing.AllocsPerRun(100, func() {
-		m.Enter(1, 1)
-		m.ExitOK(1, 1, time.Millisecond)
-		m.Enter(0, 0)
-		m.ExitErr(0, 0)
+		m[1][1].EnterPart()
+		m[1][1].ExitPart(time.Millisecond, nil)
+		m[0][0].EnterPart()
+		m[0][0].ExitPart(0, context.Canceled)
 	})
 	if allocs != 0 {
-		t.Fatalf("matrix writes allocate %.1f per part, want 0", allocs)
+		t.Fatalf("part writes allocate %.1f per part, want 0", allocs)
 	}
 }
 
@@ -156,10 +183,9 @@ func TestExemplarStore(t *testing.T) {
 
 func TestSinkSnapshotCarriesServeMatrixAndExemplars(t *testing.T) {
 	k := New()
-	m := NewServeMatrix(2, 1)
-	m.Enter(1, 0)
-	m.ExitOK(1, 0, time.Millisecond)
-	k.SetServeMatrix(m)
+	m := serveMatrix(k, 2, 1)
+	m[1][0].EnterPart()
+	m[1][0].ExitPart(time.Millisecond, nil)
 	x := NewExemplarStore()
 	x.Put(0xabc, 2*time.Millisecond)
 	k.SetServeExemplars(x)

@@ -271,6 +271,8 @@ type Shard struct {
 	latSum [NumLatHists]uint64
 	lat    [NumLatHists][LatBuckets]uint64
 	disp   [KernelDim * KernelDim]uint64
+	tag    int64     // document shard + 1 of a serving-tier executor's shard; 0 = untagged
+	part   servePart // scatter parts recorded by a tagged shard's writer
 	_      [8]uint64 // pad the tail so the next shard's hot words start on a fresh line
 }
 
@@ -309,22 +311,15 @@ func (s *Shard) Kernel(sizeA, sizeB int) {
 type Sink struct {
 	mu     sync.Mutex
 	shards []*Shard
-	multi  Shard // shared multi-writer shard (real atomic adds)
+	free   []*Shard // released shards, handed to the next NewShard
+	multi  Shard    // shared multi-writer shard (real atomic adds)
 
-	// Optional serving-tier attachments, registered by internal/serve: the
-	// per-(shard × slot) serve matrix and the tracing layer's latency
-	// exemplars. Atomic pointers so registration never races a snapshot;
-	// when several tiers share one sink, the last registration wins.
-	serveMatrix    atomic.Pointer[ServeMatrix]
+	// serveExemplars is the tracing layer's latency-exemplar store,
+	// registered by internal/serve. An atomic pointer so registration never
+	// races a snapshot; when several tiers share one sink, the last
+	// registration wins.
 	serveExemplars atomic.Pointer[ExemplarStore]
 }
-
-// SetServeMatrix attaches a per-shard serving-metrics matrix; its rows ride
-// along in every Snapshot and in the Prometheus/expvar output.
-func (k *Sink) SetServeMatrix(m *ServeMatrix) { k.serveMatrix.Store(m) }
-
-// ServeMatrix returns the attached matrix, or nil.
-func (k *Sink) ServeMatrix() *ServeMatrix { return k.serveMatrix.Load() }
 
 // SetServeExemplars attaches the tracing layer's LatServe exemplar store.
 func (k *Sink) SetServeExemplars(x *ExemplarStore) { k.serveExemplars.Store(x) }
@@ -335,15 +330,29 @@ func (k *Sink) ServeExemplars() *ExemplarStore { return k.serveExemplars.Load() 
 // New returns an empty Sink.
 func New() *Sink { return &Sink{} }
 
-// NewShard registers and returns a fresh single-writer Shard. Shards are
-// never unregistered; an executor holds its shards for its whole life, and a
-// shard's counts survive the executor (they are part of the sink's history).
+// NewShard returns a single-writer Shard registered with the sink: a
+// released one when there is one, a fresh one otherwise. Shards are never
+// unregistered — their counts are part of the sink's history — so a writer
+// that goes away hands its shard back with Release instead of leaking it.
 func (k *Sink) NewShard() *Shard {
-	s := &Shard{}
 	k.mu.Lock()
+	defer k.mu.Unlock()
+	if n := len(k.free); n > 0 {
+		s := k.free[n-1]
+		k.free = k.free[:n-1]
+		return s
+	}
+	s := &Shard{}
 	k.shards = append(k.shards, s)
-	k.mu.Unlock()
 	return s
+}
+
+// Release hands a shard whose writer has stopped writing back to the sink;
+// the next NewShard reuses it, counts included.
+func (k *Sink) Release(s *Shard) {
+	k.mu.Lock()
+	k.free = append(k.free, s)
+	k.mu.Unlock()
 }
 
 // NumShards returns the number of registered single-writer shards.
@@ -429,7 +438,8 @@ type Snapshot struct {
 	NumShards int // single-writer shards merged (excludes the shared shard)
 
 	// ServeShards is the per-document-shard serving view (one row per shard,
-	// slots merged away); empty unless a ServeMatrix is attached to the sink.
+	// slots merged away); empty unless a serving tier tagged shards of the
+	// sink (Shard.TagServeShard).
 	ServeShards []ServeShardStats
 	// ServeExemplars links LatServe buckets to recent retained trace IDs;
 	// empty unless the tracing layer attached an ExemplarStore.
@@ -492,6 +502,12 @@ func (k *Sink) Snapshot() Snapshot {
 	merge(&k.multi)
 	for _, s := range shards {
 		merge(s)
+		if tag := int(atomic.LoadInt64(&s.tag)); tag > 0 {
+			for len(snap.ServeShards) < tag {
+				snap.ServeShards = append(snap.ServeShards, ServeShardStats{Shard: len(snap.ServeShards)})
+			}
+			snap.ServeShards[tag-1].add(&s.part)
+		}
 	}
 	for slot, n := range disp {
 		if n != 0 {
@@ -504,9 +520,6 @@ func (k *Sink) Snapshot() Snapshot {
 		for j := i; j > 0 && snap.Kernels[j].Count > snap.Kernels[j-1].Count; j-- {
 			snap.Kernels[j], snap.Kernels[j-1] = snap.Kernels[j-1], snap.Kernels[j]
 		}
-	}
-	if m := k.serveMatrix.Load(); m != nil {
-		snap.ServeShards = m.Snapshot()
 	}
 	if x := k.serveExemplars.Load(); x != nil {
 		snap.ServeExemplars = x.Snapshot()

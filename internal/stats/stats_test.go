@@ -249,3 +249,29 @@ func TestExpvarMap(t *testing.T) {
 		t.Errorf("kernel_dispatch = %v, want one entry", m["kernel_dispatch"])
 	}
 }
+
+// TestSinkReleaseReusesShard: a released shard goes to the next NewShard
+// with its counts, so writer churn never grows the registry or loses a
+// count.
+func TestSinkReleaseReusesShard(t *testing.T) {
+	k := New()
+	s := k.NewShard()
+	s.Inc(CtrQueriesMerge)
+	k.Release(s)
+	if r := k.NewShard(); r != s {
+		t.Fatal("NewShard registered a fresh shard while a released one was free")
+	}
+	if n := k.NumShards(); n != 1 {
+		t.Fatalf("NumShards = %d after release and reuse, want 1", n)
+	}
+	if k.NewShard() == s {
+		t.Fatal("NewShard handed out a shard that is in use")
+	}
+	if n := k.NumShards(); n != 2 {
+		t.Fatalf("NumShards = %d, want 2", n)
+	}
+	if snap := k.Snapshot(); snap.Counter(CtrQueriesMerge) != 1 || snap.NumShards != 2 {
+		t.Fatalf("snapshot lost the released shard's count: %d over %d shards",
+			snap.Counter(CtrQueriesMerge), snap.NumShards)
+	}
+}

@@ -48,7 +48,8 @@ const (
 	// count result.
 	KindShard
 	// KindStrategy is one strategy execution inside the engine (Arm names
-	// which). V1, V2 = the input set sizes (V1 = set count for ArmKWay).
+	// which). V1, V2 = the input set sizes (V1 = set count for ArmKWay,
+	// candidate count for ArmBatch).
 	KindStrategy
 	// KindPlan is a planner decision event: Arm = the chosen arm, V1/V2 = the
 	// model's predicted nanoseconds for arm 0/arm 1, and the flag byte packs
@@ -79,6 +80,7 @@ const (
 	ArmHash  = 1 // per-element hash probe
 	ArmKWay  = 2 // k-way chain (3+ sets)
 	ArmCross = 3 // cross-representation pair route
+	ArmBatch = 4 // one-vs-many batch (query set against a candidate list)
 	ArmNone  = 0xFF
 )
 
@@ -94,6 +96,8 @@ func ArmName(a uint8) string {
 		return "kway"
 	case ArmCross:
 		return "cross"
+	case ArmBatch:
+		return "batch"
 	}
 	return ""
 }
