@@ -39,12 +39,7 @@ var SupportedSegBits = []int{8, 16, 32}
 // New returns an all-zero bitmap of mBits bits with segments of segBits bits.
 // mBits must be a power of two >= 64 and segBits one of SupportedSegBits.
 func New(mBits uint64, segBits int) *Bitmap {
-	if !hashutil.IsPow2(mBits) || mBits < 64 {
-		panic(fmt.Sprintf("bitmap: mBits %d must be a power of two >= 64", mBits))
-	}
-	if !validSegBits(segBits) {
-		panic(fmt.Sprintf("bitmap: unsupported segment size %d", segBits))
-	}
+	checkShape(mBits, segBits, int(mBits/64))
 	return &Bitmap{
 		words:   make([]uint64, mBits/64),
 		mBits:   mBits,
@@ -55,18 +50,26 @@ func New(mBits uint64, segBits int) *Bitmap {
 // NewFromWords returns a bitmap whose word storage is the caller-provided
 // slice — typically a region of a shared arena, so many small bitmaps can
 // live in one allocation (core.BuildSets). words must be all zero with
-// len(words) == mBits/64; the bitmap takes ownership of the slice.
+// len(words) == mBits/64; the bitmap takes ownership of the slice. The
+// constructor inlines, so a caller that copies the result into its own
+// struct (core.Set embeds its bitmap by value) allocates nothing.
 func NewFromWords(words []uint64, mBits uint64, segBits int) *Bitmap {
+	checkShape(mBits, segBits, len(words))
+	return &Bitmap{words: words, mBits: mBits, segBits: segBits}
+}
+
+// checkShape panics unless mBits and segBits describe a valid bitmap of
+// nwords words. It stays out of line so the constructors inline.
+func checkShape(mBits uint64, segBits, nwords int) {
 	if !hashutil.IsPow2(mBits) || mBits < 64 {
 		panic(fmt.Sprintf("bitmap: mBits %d must be a power of two >= 64", mBits))
 	}
 	if !validSegBits(segBits) {
 		panic(fmt.Sprintf("bitmap: unsupported segment size %d", segBits))
 	}
-	if uint64(len(words)) != mBits/64 {
-		panic(fmt.Sprintf("bitmap: %d words for %d bits", len(words), mBits))
+	if uint64(nwords) != mBits/64 {
+		panic(fmt.Sprintf("bitmap: %d words for %d bits", nwords, mBits))
 	}
-	return &Bitmap{words: words, mBits: mBits, segBits: segBits}
 }
 
 func validSegBits(s int) bool {

@@ -152,7 +152,7 @@ type probeRec struct{ x, oa, oaEnd uint32 }
 // memoized hashes), from the large set's hasher otherwise. Returns the
 // survivor count.
 func stageProbes(blk []uint32, pos []uint64, large *Set, stage []probeRec) int {
-	lb := large.bm
+	lb := &large.bm
 	words, mBits := lb.Words(), lb.Bits()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
@@ -186,7 +186,7 @@ func stageProbes(blk []uint32, pos []uint64, large *Set, stage []probeRec) int {
 // returned so the read-ahead loads cannot be dead-code-eliminated; the
 // probe/survivor counters go to the writer's stats shard.
 func (in *instr) hashProbeStaged(elems []uint32, pos []uint64, large *Set, stage []probeRec, dst []uint32, emit Visitor) (int, uint32) {
-	lb := large.bm
+	lb := &large.bm
 	gather := pos == nil && simd.GatherProbeActive() && lb.Bits() <= gatherProbeMaxBits
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs, reord := large.offsets, large.reordered

@@ -615,12 +615,12 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	for i := range sets {
 		sets[i] = MustNewSet(randSet(rng, n, 1<<28), DefaultConfig())
 	}
-	maps := []*bitmap.Bitmap{sets[0].bm, sets[1].bm, sets[2].bm}
+	maps := []*bitmap.Bitmap{&sets[0].bm, &sets[1].bm, &sets[2].bm}
 	survivors := 0
 	bitmap.ForEachIntersectingSegmentK(maps, func(int) { survivors++ })
 	// 2-way survivors for comparison.
 	two := 0
-	bitmap.ForEachIntersectingSegment(sets[0].bm, sets[1].bm, func(_, _ int) { two++ })
+	bitmap.ForEachIntersectingSegment(&sets[0].bm, &sets[1].bm, func(_, _ int) { two++ })
 	if survivors >= two/4 {
 		t.Errorf("3-way survivors %d not far below 2-way %d (Proposition 2)", survivors, two)
 	}

@@ -10,7 +10,6 @@ import (
 	"math"
 	"unsafe"
 
-	"fesia/internal/bitmap"
 	"fesia/internal/hashutil"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
@@ -38,8 +37,9 @@ import (
 //	  RepDense:     dense words (mBits/64 × uint64) over [base, base+mBits)
 //	whole-file CRC32C (uint32, covering magic through the last payload byte)
 //
-// Sizes arrays are rederived on load (validateShell), exactly as ReadSet
-// does. Any truncation or bit flip fails the trailing checksum or a
+// Segment sizes are never stored: they are differences of adjacent offsets,
+// in memory as on disk, and validateShell checks the offsets on load exactly
+// as ReadSet does. Any truncation or bit flip fails the trailing checksum or a
 // structural check; a corrupt stream can never produce a loadable corpus.
 // The legacy v2 format ("FESIAC2") — segmented-only, no rep/base meta fields
 // — is still accepted by ReadCorpus; WriteCorpus emits v3.
@@ -220,7 +220,7 @@ func (m corpusSetMeta) arenaWords(cfg Config) uint64 {
 		return m.mBits / 64
 	}
 	nseg := m.mBits / uint64(cfg.SegBits)
-	u32Len := nseg + (nseg + 1) + uint64(m.n) // sizes + offsets + reordered
+	u32Len := (nseg + 1) + uint64(m.n) // offsets + reordered
 	return m.mBits/64 + (u32Len+1)/2
 }
 
@@ -419,12 +419,11 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 			nwords := int(m.mBits) / 64
 			words := arena[at : at+nwords : at+nwords]
 			at += nwords
-			u32Len := nseg + (nseg + 1) + m.n
+			u32Len := (nseg + 1) + m.n
 			u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), u32Len)
 			at += (u32Len + 1) / 2
-			sizes := u32[:nseg:nseg]
-			offsets := u32[nseg : 2*nseg+1 : 2*nseg+1]
-			reordered := u32[2*nseg+1 : u32Len : u32Len]
+			offsets := u32[: nseg+1 : nseg+1]
+			reordered := u32[nseg+1 : u32Len : u32Len]
 			if err := readU64sInto(pr, words); err != nil {
 				return nil, fmt.Errorf("core: decoding set %d bitmap: %w", i, noEOF(err))
 			}
@@ -434,8 +433,7 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 			if err := readU32sInto(pr, reordered); err != nil {
 				return nil, fmt.Errorf("core: decoding set %d elements: %w", i, noEOF(err))
 			}
-			s = newShell(cfg, bitmap.NewFromWords(words, m.mBits, cfg.SegBits),
-				sizes, offsets, reordered)
+			s = newShell(cfg, words, m.mBits, offsets, reordered)
 			if err := validateShell(s); err != nil {
 				return nil, fmt.Errorf("core: set %d: %w", i, err)
 			}

@@ -406,7 +406,7 @@ func (e *Executor) kwayPrepare(sets []*Set) (x *Set, rest []*Set, maxSeg int) {
 	}
 	e.maps = e.maps[:0]
 	for _, s := range ord {
-		e.maps = append(e.maps, s.bm)
+		e.maps = append(e.maps, &s.bm)
 		maxSeg = max(maxSeg, s.maxSeg)
 	}
 	return ord[0], ord[1:], max(maxSeg, 1)

@@ -254,7 +254,7 @@ func (in *instr) noteProbes(probes, survivors int) {
 func (in *instr) hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor) int {
 	n := 0
 	survivors := 0
-	lb := large.bm
+	lb := &large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
@@ -295,7 +295,7 @@ func (in *instr) hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, 
 func (in *instr) hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor) int {
 	n := 0
 	survivors := 0
-	lb := large.bm
+	lb := &large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
@@ -362,8 +362,8 @@ func DispatchTrace(a, b *Set) [][2]int {
 	}
 	compatible(a, b)
 	x, y := ordered(a, b)
-	trace := make([][2]int, 0, bitmap.CountIntersectingSegments(x.bm, y.bm))
-	bitmap.ForEachIntersectingSegment(x.bm, y.bm, func(sx, sy int) {
+	trace := make([][2]int, 0, bitmap.CountIntersectingSegments(&x.bm, &y.bm))
+	bitmap.ForEachIntersectingSegment(&x.bm, &y.bm, func(sx, sy int) {
 		trace = append(trace, [2]int{len(x.segment(sx)), len(y.segment(sy))})
 	})
 	return trace
@@ -510,7 +510,7 @@ func HashProbeTrace(a, b *Set) []HashProbe {
 	}
 	compatible(a, b)
 	small, large := bySize(a, b)
-	lb := large.bm
+	lb := &large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)

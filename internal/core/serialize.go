@@ -41,11 +41,11 @@ import (
 //
 // stride is the kernel sampling stride of the retired per-size kernel
 // library. Writers emit 1; readers accept 1, 4 or 8 and otherwise ignore it,
-// since every set now runs the same segment kernel. sizes are rederived
-// from offsets; maxSeg is recomputed on load. The legacy
-// v2 format ("FESIA2") is v3 minus the rep/base fields (segmented only), and
-// v1 ("FESIA1") is v2 minus all checksums; ReadSet accepts all three, WriteTo
-// emits v3.
+// since every set now runs the same segment kernel. Segment sizes are
+// offsets[i+1]-offsets[i] and never stored; maxSeg is recomputed on load.
+// The legacy v2 format ("FESIA2") is v3 minus the rep/base fields
+// (segmented only), and v1 ("FESIA1") is v2 minus all checksums; ReadSet
+// accepts all three, WriteTo emits v3.
 
 var (
 	setMagicV1 = [8]byte{'F', 'E', 'S', 'I', 'A', '1', 0, 0}
@@ -516,8 +516,9 @@ func readSet(r io.Reader) (*Set, error) {
 			return nil, err
 		}
 	}
-	s := newShell(h.cfg, bitmap.New(h.mBits, h.cfg.SegBits), make([]uint32, nseg), offsets, reordered)
-	copy(s.bm.Words(), words)
+	// The bitmap is cloned so it does not keep the chunked decode buffer's
+	// spare capacity.
+	s := newShell(h.cfg, slices.Clone(words), h.mBits, offsets, reordered)
 	if err := validateShell(s); err != nil {
 		return nil, err
 	}
@@ -527,15 +528,15 @@ func readSet(r io.Reader) (*Set, error) {
 // validateShell checks every structural invariant of a deserialized shell
 // (offsets monotone and bounded, segments sorted, every element's hash bit
 // set in its own segment, and — bit for bit — the bitmap derivable from the
-// elements), filling in sizes and maxSeg as it walks. It is shared by
-// ReadSet and ReadCorpus.
+// elements), filling in maxSeg from the segment sizes the offsets imply as
+// it walks. It is shared by ReadSet and ReadCorpus.
 func validateShell(s *Set) error {
 	n := s.n
 	nseg := s.bm.NumSegments()
 	mBits := s.bm.Bits()
 
-	// Validate the whole offset array before any slicing, then rederive
-	// sizes/maxSeg segment by segment.
+	// Validate the whole offset array before any slicing, then derive
+	// maxSeg segment by segment.
 	if s.offsets[0] != 0 || s.offsets[nseg] != uint32(n) {
 		return fmt.Errorf("core: offset bounds corrupt (first=%d last=%d n=%d)",
 			s.offsets[0], s.offsets[nseg], n)
@@ -547,11 +548,7 @@ func validateShell(s *Set) error {
 	}
 	var posScratch []uint64
 	for i := 0; i < nseg; i++ {
-		size := s.offsets[i+1] - s.offsets[i]
-		s.sizes[i] = size
-		if int(size) > s.maxSeg {
-			s.maxSeg = int(size)
-		}
+		s.maxSeg = max(s.maxSeg, int(s.offsets[i+1]-s.offsets[i]))
 		lst := s.reordered[s.offsets[i]:s.offsets[i+1]]
 		posScratch = posScratch[:0]
 		for j, v := range lst {
@@ -580,7 +577,7 @@ func validateShell(s *Set) error {
 				distinct++
 			}
 		}
-		if pop := segmentPopcount(s.bm, i); pop != distinct {
+		if pop := segmentPopcount(&s.bm, i); pop != distinct {
 			return fmt.Errorf("core: segment %d has %d set bits but %d element hash positions (stray or missing bits)",
 				i, pop, distinct)
 		}

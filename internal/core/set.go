@@ -5,8 +5,9 @@
 // III-B): elements are hashed into an m-bit bitmap (m a power of two,
 // m ≈ n·√w by default), bits are grouped into s-bit segments, and the
 // elements are stored segment-by-segment (sorted within each segment) in a
-// reordered array with per-segment offsets and sizes — exactly the five
-// arrays of the paper's Fig. 1.
+// reordered array with per-segment offsets. That is the paper's Fig. 1 minus
+// its Size array: a segment's size is the difference of two adjacent
+// offsets, so storing it would cost 4 bytes per segment for nothing.
 //
 // Intersections then run in two steps (Section III-C): a bitmap-level AND
 // prunes segments with no common bits, and the segment kernel (package
@@ -43,7 +44,7 @@ const (
 	RepSegmented Rep = iota
 	// RepArray stores the elements as a plain sorted []uint32 — 4 bytes per
 	// element with zero metadata, the right layout for tiny or very sparse
-	// sets where segmented-bitmap overhead (~5x the element bytes at the
+	// sets where segmented-bitmap overhead (~2.5x the element bytes at the
 	// default scale) dominates.
 	RepArray
 	// RepDense stores a plain bitmap over the set's value span — the right
@@ -75,14 +76,15 @@ func (r Rep) String() string {
 // Representation-selection heuristic thresholds (RepAuto).
 const (
 	// ArrayMaxLen: sets at or below this size take the array representation.
-	// A segmented bitmap at the default m = n·√w scale costs ~22 bytes per
-	// element in bitmap words and per-segment metadata; a sorted array costs
-	// 4. Below this size the bitmap filter has nothing to amortize against.
+	// A segmented bitmap at the default m = n·√w scale costs ~14 bytes per
+	// element in bitmap words, per-segment offsets and elements; a sorted
+	// array costs 4. Below this size the bitmap filter has nothing to
+	// amortize against.
 	ArrayMaxLen = 256
 	// DenseMaxBitsPerElem: sets whose value span is at most this many bits
 	// per element take the dense-bitmap representation. At 16 bits per
 	// element the dense bitmap is at most 2 bytes per element — half the
-	// array representation, an order of magnitude under segmented — and the
+	// array representation, a seventh of segmented — and the
 	// intersection is a straight word-AND.
 	DenseMaxBitsPerElem = 16
 )
@@ -187,20 +189,26 @@ func (c Config) normalize() (Config, error) {
 // bitmap over the value span. The representation is chosen at build time
 // (Config.Rep); every intersection path accepts any representation pair.
 // Sets are safe for concurrent reads.
+//
+// Field order is part of the batch engine's cost: everything a per-candidate
+// step reads (bitmap words and shape, offsets, reordered, n, the
+// representation and the compatibility key: hasher, cfg.Width,
+// cfg.SegBits) sits in the header's first 128 bytes, two cache lines, and
+// the bitmap is embedded by value so reaching its words costs no further
+// dependent load. TestSetHeaderLayout pins this.
 type Set struct {
-	cfg    Config
-	hasher hashutil.Hasher
-
-	rep Rep
-
-	// Segmented-bitmap state (RepSegmented). reordered doubles as the
-	// sorted element array of RepArray sets (with bm/offsets/sizes nil).
-	bm        *bitmap.Bitmap
+	// Segmented-bitmap state (RepSegmented; zero otherwise). reordered
+	// doubles as the sorted element array of RepArray sets. Segment i holds
+	// reordered[offsets[i]:offsets[i+1]].
+	bm        bitmap.Bitmap
 	offsets   []uint32 // nseg+1 prefix sums into reordered
-	sizes     []uint32 // per-segment element counts (the paper's Size array)
 	reordered []uint32 // the paper's ReorderedSet; ascending elements for RepArray
 	n         int
-	maxSeg    int // largest segment size, for scratch buffer sizing
+	hasher    hashutil.Hasher
+	rep       Rep
+	cfg       Config
+
+	maxSeg int // largest segment size, for scratch buffer sizing
 
 	// Dense-bitmap state (RepDense): bit i of dense is set iff base+64*w+i
 	// is an element. base is 64-aligned; the first and last words are
@@ -231,8 +239,8 @@ func NewSet(elems []uint32, cfg Config) (*Set, error) {
 	}
 	mBits := bitmapBits(len(sorted), cfg.Scale)
 	nseg := int(mBits) / cfg.SegBits
-	s := newShell(cfg, bitmap.New(mBits, cfg.SegBits),
-		make([]uint32, nseg), make([]uint32, nseg+1), make([]uint32, len(sorted)))
+	s := newShell(cfg, make([]uint64, mBits/64), mBits,
+		make([]uint32, nseg+1), make([]uint32, len(sorted)))
 	s.fill(sorted)
 	statsInc(stats.CtrBuildSegmented)
 	return s, nil
@@ -246,7 +254,7 @@ func NewSetBatch(lists [][]uint32, cfg Config) ([]*Set, error) {
 
 // BuildSets constructs a whole corpus of Sets into ONE contiguous backing
 // allocation: for each set, its 64-bit word region (segmented-bitmap words
-// or dense-bitmap words), then its uint32 region (sizes+offsets+reordered
+// or dense-bitmap words), then its uint32 region (offsets+reordered
 // for segmented sets, the sorted element array for array sets) padded to
 // word alignment, laid out back to back in input order. A workload that
 // intersects one query against many small candidate sets — per-vertex
@@ -300,14 +308,12 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 			nwords := int(mBits) / 64
 			words := arena[at : at+nwords : at+nwords]
 			at += nwords
-			u32Len := nseg + (nseg + 1) + len(sorted)
+			u32Len := (nseg + 1) + len(sorted)
 			u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), u32Len)
 			at += (u32Len + 1) / 2
-			sizes := u32[:nseg:nseg]
-			offsets := u32[nseg : 2*nseg+1 : 2*nseg+1]
-			reordered := u32[2*nseg+1 : u32Len : u32Len]
-			s := newShell(cfg, bitmap.NewFromWords(words, mBits, cfg.SegBits),
-				sizes, offsets, reordered)
+			offsets := u32[: nseg+1 : nseg+1]
+			reordered := u32[nseg+1 : u32Len : u32Len]
+			s := newShell(cfg, words, mBits, offsets, reordered)
 			s.fill(sorted)
 			sets[i] = s
 			statsInc(stats.CtrBuildSegmented)
@@ -327,7 +333,7 @@ func arenaWords(rep Rep, sorted []uint32, cfg Config) int {
 	}
 	m := bitmapBits(len(sorted), cfg.Scale)
 	nseg := int(m) / cfg.SegBits
-	u32 := nseg + (nseg + 1) + len(sorted) // sizes + offsets + reordered
+	u32 := (nseg + 1) + len(sorted) // offsets + reordered
 	return int(m)/64 + (u32+1)/2
 }
 
@@ -354,19 +360,18 @@ func bitmapBits(n int, scale float64) uint64 {
 	return mBits
 }
 
-// newShell assembles a Set around a preallocated (possibly arena-backed)
-// bitmap and sizes/offsets/reordered storage. Callers must fill() it before
-// use.
-func newShell(cfg Config, bm *bitmap.Bitmap, sizes, offsets, reordered []uint32) *Set {
+// newShell assembles a Set around preallocated (possibly arena-backed)
+// bitmap words of an mBits-bit bitmap and offsets/reordered storage.
+// Callers must fill() it, or validateShell() loaded contents, before use.
+func newShell(cfg Config, words []uint64, mBits uint64, offsets, reordered []uint32) *Set {
 	return &Set{
-		cfg:       cfg,
-		hasher:    hashutil.New(cfg.Seed),
-		rep:       RepSegmented,
-		bm:        bm,
-		n:         len(reordered),
-		sizes:     sizes,
+		bm:        *bitmap.NewFromWords(words, mBits, cfg.SegBits),
 		offsets:   offsets,
 		reordered: reordered,
+		n:         len(reordered),
+		hasher:    hashutil.New(cfg.Seed),
+		rep:       RepSegmented,
+		cfg:       cfg,
 	}
 }
 
@@ -374,11 +379,11 @@ func newShell(cfg Config, bm *bitmap.Bitmap, sizes, offsets, reordered []uint32)
 // (possibly arena-backed) element slice. elems is retained, not copied.
 func newArrayShell(cfg Config, elems []uint32) *Set {
 	return &Set{
-		cfg:       cfg,
+		reordered: elems,
+		n:         len(elems),
 		hasher:    hashutil.New(cfg.Seed),
 		rep:       RepArray,
-		n:         len(elems),
-		reordered: elems,
+		cfg:       cfg,
 	}
 }
 
@@ -386,10 +391,10 @@ func newArrayShell(cfg Config, elems []uint32) *Set {
 // word slice covering [base, base+64*len(words)). words is retained.
 func newDenseShell(cfg Config, words []uint64, base uint32, n int) *Set {
 	return &Set{
-		cfg:    cfg,
+		n:      n,
 		hasher: hashutil.New(cfg.Seed),
 		rep:    RepDense,
-		n:      n,
+		cfg:    cfg,
 		dense:  words,
 		base:   base,
 	}
@@ -413,37 +418,35 @@ func fillDense(words []uint64, base uint32, sorted []uint32) {
 	}
 }
 
-// fill populates the bitmap and the Fig. 1 arrays from a sorted
-// duplicate-free element list.
+// fill populates the bitmap, the offsets and the reordered array from a
+// sorted duplicate-free element list, in the set's own storage only. Pass 1
+// counts each segment's elements into offsets[seg+1] and a prefix sum turns
+// the counts into segment starts. Pass 2 re-hashes every element (cheaper
+// than keeping its segment in a side array) and places it at its segment's
+// cursor offsets[seg]; that leaves offsets[i] at segment i+1's start, so a
+// one-slot shift restores them.
 func (s *Set) fill(sorted []uint32) {
 	mBits := s.bm.Bits()
-	nseg := s.bm.NumSegments()
-	segOf := make([]int32, len(sorted))
-	for i, x := range sorted {
+	segShift := uint(simd.Tzcnt32(uint32(s.bm.SegBits()))) // log2(segBits)
+	offs := s.offsets
+	for _, x := range sorted {
 		pos := s.hasher.Pos(x, mBits)
 		s.bm.Set(pos)
-		seg := s.bm.SegmentOf(pos)
-		segOf[i] = int32(seg)
-		s.sizes[seg]++
+		offs[pos>>segShift+1]++
 	}
-	sum := uint32(0)
-	for i, c := range s.sizes {
-		s.offsets[i] = sum
-		sum += c
-		if int(c) > s.maxSeg {
-			s.maxSeg = int(c)
-		}
+	for i := 1; i < len(offs); i++ {
+		s.maxSeg = max(s.maxSeg, int(offs[i]))
+		offs[i] += offs[i-1]
 	}
-	s.offsets[nseg] = sum
-
 	// Filling in ascending input order keeps each segment's list sorted
 	// ascending, as the paper requires.
-	next := append([]uint32(nil), s.offsets[:nseg]...)
-	for i, x := range sorted {
-		seg := segOf[i]
-		s.reordered[next[seg]] = x
-		next[seg]++
+	for _, x := range sorted {
+		seg := s.hasher.Pos(x, mBits) >> segShift
+		s.reordered[offs[seg]] = x
+		offs[seg]++
 	}
+	copy(offs[1:], offs)
+	offs[0] = 0
 }
 
 // MustNewSet is NewSet for known-good configurations; it panics on error.
@@ -566,7 +569,7 @@ func (s *Set) MemoryBytes() int {
 	case RepDense:
 		return len(s.dense) * 8
 	}
-	return len(s.bm.Words())*8 + len(s.offsets)*4 + len(s.sizes)*4 + len(s.reordered)*4
+	return len(s.bm.Words())*8 + len(s.offsets)*4 + len(s.reordered)*4
 }
 
 // Stats summarizes the physical layout of a Set. The segment-level fields
@@ -611,8 +614,8 @@ func (s *Set) Stats() Stats {
 	st.Segments = s.bm.NumSegments()
 	const histBuckets = 9
 	st.SegmentSizeHist = make([]int, histBuckets)
-	for _, c := range s.sizes {
-		k := int(c)
+	for i := range st.Segments {
+		k := int(s.offsets[i+1] - s.offsets[i])
 		if k > 0 {
 			st.NonEmptySegments++
 			st.MaxSegmentLen = max(st.MaxSegmentLen, k)
@@ -628,7 +631,7 @@ func (s *Set) Stats() Stats {
 
 // compatible panics unless two sets can be intersected against each other.
 func compatible(a, b *Set) {
-	if a.cfg.Seed != b.cfg.Seed {
+	if a.hasher != b.hasher { // hasher is exactly hashutil.New(cfg.Seed)
 		panic("core: sets built with different hash seeds")
 	}
 	if a.cfg.SegBits != b.cfg.SegBits {
